@@ -47,18 +47,6 @@ let timed f =
   f ();
   Agg_obs.Span.seconds_since t0
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Set by --obs: fig3/4/5 then time each sweep cell, and every section
    becomes a span, all exported to BENCH_obs.json. *)
 let profiler : Agg_obs.Span.recorder option ref = ref None
@@ -209,26 +197,27 @@ let run_fleet ~settings =
         [ "clients"; "scheme"; "client hit %"; "server hit %"; "store fetches"; "invalidations" ]
   in
   let schemes =
-    [
-      ("plain", Agg_system.Scheme.plain_lru, Agg_system.Scheme.plain_lru);
-      ( "aggregating",
-        Agg_system.Scheme.Aggregating Agg_core.Config.default,
-        Agg_system.Scheme.Aggregating Agg_core.Config.default );
-    ]
+    [ ("plain", Agg_system.Scheme.plain_lru); ("aggregating", Agg_system.Scheme.aggregating ()) ]
   in
   Agg_sim.Experiment.grid ~settings ~rows:[ 1; 2; 4; 8; 16 ] ~cols:schemes
-    (fun clients (name, client_scheme, server_scheme) ->
+    (fun clients (name, scheme) ->
+      (* one server: the default single-node, single-replica cluster *)
       let config =
-        { Agg_system.Fleet.default_config with clients; client_scheme; server_scheme }
+        {
+          Agg_cluster.Cluster.default_config with
+          clients;
+          client_scheme = scheme;
+          node_scheme = scheme;
+        }
       in
-      let r = Agg_system.Fleet.run config trace in
+      let r = Agg_cluster.Cluster.run config trace in
       [
         string_of_int clients;
         name;
-        Printf.sprintf "%.1f" (100.0 *. Agg_system.Fleet.client_hit_rate r);
-        Printf.sprintf "%.1f" (100.0 *. Agg_system.Fleet.server_hit_rate r);
-        string_of_int r.Agg_system.Fleet.store_fetches;
-        string_of_int r.Agg_system.Fleet.invalidations;
+        Printf.sprintf "%.1f" (100.0 *. Agg_cluster.Cluster.client_hit_rate r);
+        Printf.sprintf "%.1f" (100.0 *. Agg_cluster.Cluster.server_hit_rate r);
+        string_of_int r.Agg_cluster.Cluster.store_fetches;
+        string_of_int r.Agg_cluster.Cluster.invalidations;
       ])
   |> List.iter (fun (_, rows) ->
          List.iter (fun (_, row) -> Agg_util.Table.add_row table row) rows);
@@ -257,8 +246,6 @@ let run_cluster ~settings =
   let runner = Agg_sim.Experiment.Runner.create ~settings () in
   let points = Agg_sim.Cluster.sweep runner in
   Agg_sim.Experiment.print_figure (Agg_sim.Cluster.run runner);
-  let fleet_match = Agg_sim.Cluster.fleet_equivalent runner in
-  Printf.printf "degenerate N=1,k=1 cluster matches Fleet byte-for-byte: %b\n" fleet_match;
   (match Agg_sim.Cluster.degraded_reduction points with
   | Some (k_min, k_max) ->
       Printf.printf "degraded fetches at max node loss (g5, replicated metadata): k_min=%d k_max=%d\n"
@@ -267,7 +254,7 @@ let run_cluster ~settings =
   let oc = open_out cluster_json_path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Agg_sim.Cluster.json_of_points ~fleet_match points));
+    (fun () -> output_string oc (Agg_sim.Cluster.json_of_points points));
   Printf.printf "wrote %d sweep points to %s\n" (List.length points) cluster_json_path
 
 let scenarios_json_path = "BENCH_scenarios.json"
@@ -311,8 +298,8 @@ let run_weighted ~settings =
             "    {\"profile\": \"%s\", \"policy\": \"%s\", \"capacity\": %d, \
              \"byte_hit_rate\": %.6f, \"cost_saved_rate\": %.6f, \"total_retrieval_cost\": \
              %d}%s\n"
-            (json_escape c.Agg_sim.Weighted.profile)
-            (json_escape c.Agg_sim.Weighted.policy)
+            (Agg_obs.Span.json_escape c.Agg_sim.Weighted.profile)
+            (Agg_obs.Span.json_escape c.Agg_sim.Weighted.policy)
             c.Agg_sim.Weighted.capacity c.Agg_sim.Weighted.byte_hit_rate
             c.Agg_sim.Weighted.cost_saved_rate c.Agg_sim.Weighted.total_cost
             (if i = List.length cells - 1 then "" else ","))
@@ -323,7 +310,7 @@ let run_weighted ~settings =
           Printf.fprintf oc
             "    {\"profile\": \"%s\", \"capacity\": %d, \"g5_total_cost\": %d, \
              \"landlord_total_cost\": %d, \"g5_beats_landlord\": %b}%s\n"
-            (json_escape v.Agg_sim.Weighted.v_profile)
+            (Agg_obs.Span.json_escape v.Agg_sim.Weighted.v_profile)
             v.Agg_sim.Weighted.v_capacity v.Agg_sim.Weighted.g5_cost
             v.Agg_sim.Weighted.landlord_cost v.Agg_sim.Weighted.g5_wins
             (if i = List.length verdicts - 1 then "" else ","))
@@ -619,7 +606,7 @@ let write_micro_json rows =
           Printf.fprintf oc
             "    {\"policy\": \"%s\", \"ops\": %d, \"seconds\": %.4f, \"ns_per_op\": %.1f, \
              \"mops_per_sec\": %.2f}%s\n"
-            (json_escape name) ops seconds ns_per_op mops
+            (Agg_obs.Span.json_escape name) ops seconds ns_per_op mops
             (if i = List.length rows - 1 then "" else ","))
         rows;
       Printf.fprintf oc "  ]\n}\n")
@@ -711,8 +698,8 @@ let write_bench_json ~jobs ~quick ~(settings : Agg_sim.Experiment.settings) timi
                   (b /. t.seconds)
             | _ -> ""
           in
-          Printf.fprintf oc "    {\"name\": \"%s\", \"seconds\": %.3f%s}%s\n" (json_escape t.name)
-            t.seconds speedup
+          Printf.fprintf oc "    {\"name\": \"%s\", \"seconds\": %.3f%s}%s\n"
+            (Agg_obs.Span.json_escape t.name) t.seconds speedup
             (if i = List.length timings - 1 then "" else ","))
         timings;
       Printf.fprintf oc "  ],\n";

@@ -363,7 +363,10 @@ let latency_cmd =
 
 let fleet_cmd =
   let clients_arg =
-    Arg.(value & opt int 4 & info [ "clients" ] ~docv:"N" ~doc:"Number of client machines.")
+    Arg.(
+      value
+      & opt (positive_int "--clients") 4
+      & info [ "clients" ] ~docv:"N" ~doc:"Number of client machines.")
   in
   let run settings profile clients =
     let trace =
@@ -371,22 +374,26 @@ let fleet_cmd =
         ~events:settings.Agg_sim.Experiment.events profile
     in
     List.iter
-      (fun (name, client_scheme, server_scheme) ->
+      (fun (name, scheme) ->
+        (* one server: the default single-node, single-replica cluster *)
         let config =
-          { Agg_system.Fleet.default_config with clients; client_scheme; server_scheme }
+          {
+            Agg_cluster.Cluster.default_config with
+            clients;
+            client_scheme = scheme;
+            node_scheme = scheme;
+          }
         in
-        Format.printf "%-12s %a@." name Agg_system.Fleet.pp_result
-          (Agg_system.Fleet.run config trace))
-      [
-        ("plain", Agg_system.Scheme.plain_lru, Agg_system.Scheme.plain_lru);
-        ( "aggregating",
-          Agg_system.Scheme.Aggregating Agg_core.Config.default,
-          Agg_system.Scheme.Aggregating Agg_core.Config.default );
-      ];
+        Format.printf "%-12s %a@." name Agg_cluster.Cluster.pp_fleet
+          (Agg_cluster.Cluster.run config trace))
+      [ ("plain", Agg_system.Scheme.plain_lru); ("aggregating", Agg_system.Scheme.aggregating ()) ];
     exit_ok
   in
   Cmd.v
-    (Cmd.info "fleet" ~doc:"Many clients sharing one server, with write invalidation.")
+    (Cmd.info "fleet"
+       ~doc:
+         "Many clients sharing one server, with write invalidation (the one-node, one-replica \
+          cluster).")
     Term.(const run $ settings_term $ profile_arg $ clients_arg)
 
 let faults_cmd =

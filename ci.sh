@@ -38,8 +38,9 @@ if ! grep -rq 'Agg_util\.Prng' lib/faults; then
 fi
 
 # The cluster layer's ring placement, per-node fault seeds and churn all
-# hang off Agg_util.Prng.derive: any other entropy source would break the
-# N=1/k=1 Fleet byte-identity guarantee and jobs-independent sweeps.
+# hang off Agg_util.Prng.derive: any other entropy source would make runs
+# depend on more than (config, trace), breaking run-to-run replay of the
+# fleet and cluster outputs and jobs-independent sweeps.
 if ! grep -rq 'Agg_util\.Prng' lib/cluster; then
   echo "ci.sh: lib/cluster no longer draws its randomness from Agg_util.Prng" >&2
   exit 1
@@ -131,7 +132,8 @@ dune build @obs
 dune build @faults
 
 # Cluster gate: smoke-run `aggsim cluster` (replicated ring under node
-# kills and the node-loss sweep) at quick size.
+# kills and the node-loss sweep) and `aggsim fleet` (the one-node
+# cluster) at quick size, and check `fleet --clients 0` is a usage error.
 dune build @cluster
 
 # Scenario gate: validate the declarative corpus, run it fast-sized with

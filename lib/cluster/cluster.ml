@@ -101,7 +101,7 @@ type client_state = {
 type state = {
   config : config;
   metadata_config : Agg_core.Config.t;
-  base_plan : Plan.t;  (** client crashes and node 0 — Fleet's plan verbatim *)
+  base_plan : Plan.t;  (** client crashes and node 0 — the configured plan verbatim *)
   client_states : client_state array;
   mutable ring : Ring.t;
   mutable node_states : node_state list;  (** sorted by [node_id] *)
@@ -146,9 +146,9 @@ let validate config =
         invalid_arg (Printf.sprintf "Cluster.run: churn time must be non-negative (got %d)" time))
     config.churn
 
-(* Node 0 reuses the plan config's own seed so the N = 1 cluster replays
-   Fleet's fault decisions exactly; every other node faults on a seed
-   derived from it, so outage windows fall independently per node. *)
+(* Node 0 reuses the plan config's own seed, so a one-node cluster replays
+   the single-server fault decisions exactly; every other node faults on a
+   seed derived from it, so outage windows fall independently per node. *)
 let node_plan (config : config) node =
   if node = 0 then Plan.make config.faults
   else
@@ -300,10 +300,10 @@ let invalidate_others st ~writer file =
       end)
     st.client_states
 
-(* Fleet's resilience loop with one extension: attempt [a] targets group
-   member [a mod k], so exhausting one node's retry fails over to the next
-   replica instead of re-asking the dead one. At k = 1 the counter
-   sequence is exactly [Fleet.fetch_survives]. *)
+(* The resilience loop (see Path.attempt_fetch) with one extension:
+   attempt [a] targets group member [a mod k], so exhausting one node's
+   retry fails over to the next replica instead of re-asking the dead one.
+   At k = 1 every attempt re-asks the primary. *)
 let rec attempt_route st ~group_nodes ~time ~attempt ~waited ~file =
   let r = st.config.resilience in
   let len = List.length group_nodes in
@@ -384,7 +384,7 @@ let serve st ~client ~time ~tracing file =
   match outcome with
   | `Degraded waited ->
       (* Retry budget dry across the whole group: degraded single-file
-         fallback through the primary, exactly Fleet's degraded path. *)
+         fallback through the primary. *)
       st.counters.Counters.degraded_fetches <- st.counters.Counters.degraded_fetches + 1;
       if Sink.enabled (Agg_obs.Scope.sink st.config.scope) then
         Sink.emit (Agg_obs.Scope.sink st.config.scope) (Agg_obs.Event.Fetch_degraded { file; dropped = 0 });
@@ -474,8 +474,8 @@ let serve st ~client ~time ~tracing file =
       let served_ms =
         if Plan.enabled st.base_plan then begin
           let multiplier = Plan.latency_multiplier ns.plan ~time ~attempt in
-          (* kept out of [st.counters] so the fault block stays
-             Fleet-comparable at N = 1 under any plan *)
+          (* kept out of [st.counters]: the pinned fleet outputs
+             require its slowed count to stay zero *)
           if multiplier > 1.0 then st.slowed_fetches <- st.slowed_fetches + 1;
           base *. multiplier
         end
@@ -589,18 +589,6 @@ let run config trace =
     faults = st.counters;
   }
 
-let fleet_view (r : result) : Agg_system.Fleet.result =
-  {
-    Agg_system.Fleet.accesses = r.accesses;
-    client_hits = r.client_hits;
-    server_requests = r.server_requests;
-    server_hits = r.server_hits;
-    store_fetches = r.store_fetches;
-    invalidations = r.invalidations;
-    per_client_hit_rate = r.per_client_hit_rate;
-    faults = Counters.copy r.faults;
-  }
-
 let client_hit_rate (r : result) = Agg_util.Stats.ratio r.client_hits r.accesses
 let server_hit_rate (r : result) = Agg_util.Stats.ratio r.server_hits r.server_requests
 
@@ -640,3 +628,13 @@ let pp_result ppf (r : result) =
     (100.0 *. server_hit_rate r)
     r.store_fetches r.invalidations r.routed_fetches r.failovers r.cross_shard_members r.rebalances
     r.moved_files r.mean_latency r.p95_latency
+
+let pp_fleet ppf (r : result) =
+  Format.fprintf ppf
+    "accesses=%d client_hits=%d (%.1f%%) server: %d requests, %d hits (%.1f%%), %d store fetches, \
+     %d invalidations"
+    r.accesses r.client_hits
+    (100.0 *. client_hit_rate r)
+    r.server_requests r.server_hits
+    (100.0 *. server_hit_rate r)
+    r.store_fetches r.invalidations

@@ -1,29 +1,35 @@
-(** A sharded multi-node server cluster in front of the client fleet.
+(** A sharded multi-node server cluster in front of a fleet of client
+    caches — the paper's Fig. 2 setting of many clients sharing a file
+    server, generalised from one server to a {!Ring} of N role-symmetric
+    nodes. Every file id is owned by a replication group of [replicas]
+    nodes, any of which can serve it (the apothik Phase-3 design — no
+    master/replica asymmetry, so failover is just "ask the next group
+    member"). Events are routed to clients by their [client] id taken
+    modulo [clients]; with write invalidation on, a write breaks every
+    other client's cached copy (Coda-style).
 
-    This generalises {!Agg_system.Fleet} from one server to a {!Ring} of
-    N role-symmetric nodes: every file id is owned by a replication group
-    of [replicas] nodes, any of which can serve it (the apothik Phase-3
-    design — no master/replica asymmetry, so failover is just "ask the
-    next group member"). The client-side behaviour, cache semantics and
-    fault/resilience accounting are exactly Fleet's; what the cluster
-    adds is routing, replica failover, node churn with deterministic
-    rebalancing, and a choice of where the successor metadata lives.
+    Resilience: when the fault plan is enabled, a fetch blocked by
+    message loss or an outage window is retried up to
+    [resilience.max_retries] times and then degrades to a single-file
+    demand fetch — speculative group members are dropped, the demanded
+    file is still served. A client crash wipes that client's cache.
 
-    {b Degenerate-case guarantee}: with [nodes = 1], [replicas = 1],
-    [metadata = Owner_node] and no churn, a run is {e byte-identical} to
-    {!Agg_system.Fleet.run} on the same trace and fault plan — same
-    counters, same per-client hit rates, same fault accounting
-    ({!fleet_view} extracts the comparable record). Node 0 always reuses
-    the fault plan's own seed; nodes [> 0] fault independently on seeds
-    drawn through {!Agg_util.Prng.derive}.
+    {b One server}: with [nodes = 1], [replicas = 1], [metadata =
+    Owner_node] and no churn, the cluster is the single-server fleet:
+    one cache and one successor tracker behind the clients, every fetch
+    routed to node 0, which faults on the plan's own seed. The
+    [aggsim fleet] verb, the bench's fleet section and the scenario
+    executor's [topology fleet] cells all run this configuration. Nodes
+    [> 0] fault independently on seeds drawn through
+    {!Agg_util.Prng.derive}.
 
     {b Metadata placement} ({!metadata_placement}) is a config axis:
 
     - [Owner_node] — each node tracks successors of the files it
-      primarily owns. Matches Fleet at N = 1; at larger N each node only
-      links requests {e it} sees, and a failover target usually has no
-      metadata for the file, so groups degenerate — the cost of sharding
-      the metadata with the data.
+      primarily owns. At N = 1 this is the one server-side tracker; at
+      larger N each node only links requests {e it} sees, and a failover
+      target usually has no metadata for the file, so groups degenerate —
+      the cost of sharding the metadata with the data.
     - [Replicated_with_group] — an observation is replicated to every
       group member, so any serving replica can build full groups at the
       price of k-way metadata write amplification.
@@ -84,10 +90,10 @@ type config = {
 }
 
 val default_config : config
-(** Fleet's defaults (4 clients x 150 aggregating, 300-file aggregating
-    server, per-client metadata, write invalidation, LAN costs, no
-    faults) on a single-node, single-replica, [Owner_node] ring, with no
-    scope (telemetry off). *)
+(** The one-server fleet: 4 clients x 150 aggregating, a 300-file
+    aggregating server, per-client metadata, write invalidation, LAN
+    costs, no faults, on a single-node, single-replica, [Owner_node]
+    ring with no churn and no scope (telemetry off). *)
 
 type result = {
   accesses : int;
@@ -106,7 +112,7 @@ type result = {
           is not in their replication group (never staged there) *)
   slowed_fetches : int;
       (** served fetches that rode a degraded link (kept out of
-          [faults] so the counter block stays Fleet-comparable) *)
+          [faults], whose slowed count stays zero) *)
   rebalances : int;  (** churn ops applied *)
   moved_files : int;  (** cached files whose placement a rebalance changed *)
   mean_latency : float;  (** ms per access, client hits included *)
@@ -124,12 +130,6 @@ val run : config -> Agg_trace.Trace.t -> result
     inapplicable churn op (joining a present node, leaving an absent or
     the last node). *)
 
-val fleet_view : result -> Agg_system.Fleet.result
-(** The Fleet-comparable projection of a cluster result (fault counters
-    copied). With [nodes = 1], [replicas = 1], [Owner_node] and no
-    churn, [fleet_view (run config trace)] equals
-    [Agg_system.Fleet.run _ trace] field for field. *)
-
 val client_hit_rate : result -> float
 val server_hit_rate : result -> float
 
@@ -140,3 +140,9 @@ val reconcile : Agg_obs.Digest.t -> result -> (unit, string) Stdlib.result
     every pair agrees, otherwise [Error] naming each mismatch. *)
 
 val pp_result : Format.formatter -> result -> unit
+
+val pp_fleet : Format.formatter -> result -> unit
+(** The load counters only (accesses, client hits, server requests and
+    hits, store fetches, invalidations), as the one-server fleet reports
+    them in [aggsim fleet]; latency, routing and fault counters are left
+    out. *)

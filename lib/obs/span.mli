@@ -42,6 +42,13 @@ val count : recorder -> int
 val seconds_of : span -> float
 val total_seconds : recorder -> float
 
+val json_escape : string -> string
+(** The body of a JSON string literal for [s] (no surrounding quotes):
+    ["\""] and ["\\"] are backslash-escaped, newline becomes ["\n"] and
+    every other control character below [0x20] becomes ["\u00XX"]. Bytes
+    from [0x20] up pass through unchanged. The Chrome-trace, scenario
+    and bench JSON writers all escape their strings with this. *)
+
 val chrome_json : recorder -> string
 (** The spans as a Chrome [trace_event] document:
     [{"displayTimeUnit": "ms", "traceEvents": [{"ph": "X", ...}, ...]}]

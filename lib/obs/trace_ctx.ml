@@ -117,18 +117,6 @@ let attribution t =
     (fun (ca, ta) (cb, tb) -> match compare tb ta with 0 -> compare ca cb | c -> c)
     !totals
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let chrome_json t =
   let n = Vec.length t.spans in
   let buf = Buffer.create 4096 in
@@ -140,8 +128,8 @@ let chrome_json t =
            "    {\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", \"ts\": %d, \"dur\": %d, \
             \"pid\": 1, \"tid\": %d, \"args\": {\"trace_id\": \"%Lx\", \"request\": %d, \
             \"file\": %d}}%s\n"
-           (json_escape s.span_name) (json_escape s.span_cat) s.start_us s.dur_us s.depth
-           s.span_trace_id s.request s.file
+           (Span.json_escape s.span_name) (Span.json_escape s.span_cat) s.start_us s.dur_us
+           s.depth s.span_trace_id s.request s.file
            (if i = n - 1 then "" else ",")))
     t.spans;
   Buffer.add_string buf "  ]\n}\n";

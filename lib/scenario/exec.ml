@@ -5,7 +5,6 @@ module Profile = Agg_workload.Profile
 module Generator = Agg_workload.Generator
 module Scheme = Agg_system.Scheme
 module Path = Agg_system.Path
-module Fleet = Agg_system.Fleet
 module Cluster = Agg_cluster.Cluster
 module Counters = Agg_faults.Counters
 module Resilience = Agg_faults.Resilience
@@ -94,6 +93,41 @@ let run_cell (t : Scenario.t) trace policy =
     | None -> None
     | Some series -> Some (Agg_obs.Scope.create ~series ())
   in
+  let base =
+    {
+      Cluster.default_config with
+      Cluster.client_scheme = scheme;
+      node_scheme = scheme;
+      faults = t.Scenario.faults;
+      scope;
+    }
+  in
+  let cluster_cell ~full config =
+    let r = Cluster.run config trace in
+    [
+      ("accesses", i r.Cluster.accesses);
+      ("client_hits", i r.Cluster.client_hits);
+      ("server_requests", i r.Cluster.server_requests);
+      ("server_hits", i r.Cluster.server_hits);
+      ("store_fetches", i r.Cluster.store_fetches);
+      ("invalidations", i r.Cluster.invalidations);
+    ]
+    @ (if full then
+         [
+           ("routed_fetches", i r.Cluster.routed_fetches);
+           ("failovers", i r.Cluster.failovers);
+           ("cross_shard_members", i r.Cluster.cross_shard_members);
+           ("slowed_fetches", i r.Cluster.slowed_fetches);
+           ("rebalances", i r.Cluster.rebalances);
+           ("moved_files", i r.Cluster.moved_files);
+         ]
+       else [])
+    @ [ ("hit_rate", hit_rate_pct ~accesses:r.Cluster.accesses ~hits:r.Cluster.client_hits) ]
+    @ (if full then
+         [ ("mean_latency", r.Cluster.mean_latency); ("p95_latency", r.Cluster.p95_latency) ]
+       else [])
+    @ fault_metrics r.Cluster.faults
+  in
   let metrics =
     match t.Scenario.topology with
     | Scenario.Path { client_capacity; server_capacity } ->
@@ -123,68 +157,34 @@ let run_cell (t : Scenario.t) trace policy =
         ]
         @ fault_metrics r.Path.faults
     | Scenario.Fleet { clients; client_capacity; server_capacity } ->
-        let config =
+        (* one server: the single-node, single-replica cluster, reporting
+           the load counters and hit rate only *)
+        cluster_cell ~full:false
           {
-            Fleet.default_config with
-            Fleet.clients;
+            base with
+            Cluster.nodes = 1;
+            replicas = 1;
+            metadata = Cluster.Owner_node;
+            clients;
             client_capacity;
-            client_scheme = scheme;
-            server_capacity;
-            server_scheme = scheme;
-            faults = t.Scenario.faults;
-            scope;
+            node_capacity = server_capacity;
+            churn = [];
           }
-        in
-        let r = Fleet.run config trace in
-        [
-          ("accesses", i r.Fleet.accesses);
-          ("client_hits", i r.Fleet.client_hits);
-          ("server_requests", i r.Fleet.server_requests);
-          ("server_hits", i r.Fleet.server_hits);
-          ("store_fetches", i r.Fleet.store_fetches);
-          ("invalidations", i r.Fleet.invalidations);
-          ("hit_rate", hit_rate_pct ~accesses:r.Fleet.accesses ~hits:r.Fleet.client_hits);
-        ]
-        @ fault_metrics r.Fleet.faults
     | Scenario.Cluster
         { nodes; replicas; placement; ring_seed; clients; client_capacity; node_capacity; churn }
       ->
-        let config =
+        cluster_cell ~full:true
           {
-            Cluster.default_config with
+            base with
             Cluster.nodes;
             replicas;
             ring_seed;
             metadata = placement;
             clients;
             client_capacity;
-            client_scheme = scheme;
             node_capacity;
-            node_scheme = scheme;
-            faults = t.Scenario.faults;
             churn;
-            scope;
           }
-        in
-        let r = Cluster.run config trace in
-        [
-          ("accesses", i r.Cluster.accesses);
-          ("client_hits", i r.Cluster.client_hits);
-          ("server_requests", i r.Cluster.server_requests);
-          ("server_hits", i r.Cluster.server_hits);
-          ("store_fetches", i r.Cluster.store_fetches);
-          ("invalidations", i r.Cluster.invalidations);
-          ("routed_fetches", i r.Cluster.routed_fetches);
-          ("failovers", i r.Cluster.failovers);
-          ("cross_shard_members", i r.Cluster.cross_shard_members);
-          ("slowed_fetches", i r.Cluster.slowed_fetches);
-          ("rebalances", i r.Cluster.rebalances);
-          ("moved_files", i r.Cluster.moved_files);
-          ("hit_rate", hit_rate_pct ~accesses:r.Cluster.accesses ~hits:r.Cluster.client_hits);
-          ("mean_latency", r.Cluster.mean_latency);
-          ("p95_latency", r.Cluster.p95_latency);
-        ]
-        @ fault_metrics r.Cluster.faults
   in
   { policy; metrics; series }
 

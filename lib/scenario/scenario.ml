@@ -597,7 +597,7 @@ let validate t =
             invalid "Scenario.validate: negative slo latency bound %s" (float_str v));
       (match (s.slo_metric, t.topology) with
       | Slo_p99_latency, Fleet _ ->
-          invalid "Scenario.validate: p99_latency slo on a fleet topology (no latency model)"
+          invalid "Scenario.validate: p99_latency slo on a fleet topology (fleet cells report no latency)"
       | _ -> ());
       if not (List.exists (fun p -> policy_name p = policy_name s.slo_policy) t.policies) then
         invalid "Scenario.validate: slo on policy %s absent from the matrix"

@@ -50,19 +50,6 @@ let render entries =
     entries;
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_of_entries entries =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n  \"scenarios\": [\n";
@@ -72,8 +59,8 @@ let json_of_entries entries =
       match e.outcome with
       | Error msg ->
           Buffer.add_string b
-            (Printf.sprintf "    {\"file\": \"%s\", \"error\": \"%s\"}%s\n" (json_escape e.file)
-               (json_escape msg) sep)
+            (Printf.sprintf "    {\"file\": \"%s\", \"error\": \"%s\"}%s\n"
+               (Agg_obs.Span.json_escape e.file) (Agg_obs.Span.json_escape msg) sep)
       | Ok o ->
           let cells =
             o.Exec.cells
@@ -87,7 +74,9 @@ let json_of_entries entries =
             o.Exec.checks
             |> List.map (fun (c : Exec.check) ->
                    Printf.sprintf "{\"name\": \"%s\", \"pass\": %b, \"detail\": \"%s\"}"
-                     (json_escape c.Exec.check_name) c.Exec.pass (json_escape c.Exec.detail))
+                     (Agg_obs.Span.json_escape c.Exec.check_name)
+                     c.Exec.pass
+                     (Agg_obs.Span.json_escape c.Exec.detail))
             |> String.concat ", "
           in
           Buffer.add_string b
@@ -96,8 +85,8 @@ let json_of_entries entries =
                 %b, \"expect_violation\": %b,\n\
                \     \"cells\": [%s],\n\
                \     \"checks\": [%s]}%s\n"
-               (json_escape e.file)
-               (json_escape o.Exec.scenario.Scenario.name)
+               (Agg_obs.Span.json_escape e.file)
+               (Agg_obs.Span.json_escape o.Exec.scenario.Scenario.name)
                o.Exec.events o.Exec.ok o.Exec.pass o.Exec.scenario.Scenario.expect_violation cells
                checks sep))
     entries;

@@ -369,6 +369,18 @@ let test_span_chrome_json () =
   check_bool "has complete-event ph" true (contains ~needle:"\"X\"" json);
   check_bool "escapes quotes" true (contains ~needle:"sec\\\"tion" json)
 
+(* the one JSON string escaper every writer (Chrome traces, scenario and
+   bench JSON) goes through *)
+let test_json_escape () =
+  let check = Alcotest.(check string) in
+  check "plain text untouched" "file_7 ok/x" (Span.json_escape "file_7 ok/x");
+  check "quote" {|say \"hi\"|} (Span.json_escape {|say "hi"|});
+  check "backslash" {|a\\b|} (Span.json_escape {|a\b|});
+  check "newline" {|l1\nl2|} (Span.json_escape "l1\nl2");
+  check "control characters" {|\u0009\u0001\u001f|} (Span.json_escape "\t\001\031");
+  check "0x20 and above pass through" " ~\x7f\xc3\xa9" (Span.json_escape " ~\x7f\xc3\xa9");
+  check "empty" "" (Span.json_escape "")
+
 (* --- histogram quantile edge cases ----------------------------------------- *)
 
 let check_opt_int = Alcotest.(check (option int))
@@ -825,6 +837,7 @@ let () =
         [
           Alcotest.test_case "record" `Quick test_span_record;
           Alcotest.test_case "chrome json" `Quick test_span_chrome_json;
+          Alcotest.test_case "json escape" `Quick test_json_escape;
         ] );
       ( "trace-ctx",
         [
