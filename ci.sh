@@ -95,13 +95,12 @@ fi
 # Agg_util.Int_table); a Hashtbl creeping back in would reintroduce
 # per-access hashing and allocation. Sanctioned exceptions, none of them
 # on the recency hot path:
-#   lib/cache/lfu.ml, lib/cache/arc.ml      frequency counts / ghost lists
 #   lib/cache/belady.ml                     offline oracle policy
 #   lib/successor/successor_list.ml         Frequency-policy count tables
 #   lib/successor/tracker.ml                Frequency-policy fallback lists
 #   lib/successor/{graph,grouping,oracle}.* offline baselines and oracles
 hot_hashtbl=$(grep -rl 'Hashtbl' lib/cache lib/successor 2>/dev/null \
-  | grep -vE 'lib/cache/(arc|belady|lfu)\.ml$' \
+  | grep -vE 'lib/cache/belady\.ml$' \
   | grep -vE 'lib/successor/(tracker|successor_list|graph|grouping|oracle)\.(ml|mli)$' \
   || true)
 if [ -n "$hot_hashtbl" ]; then

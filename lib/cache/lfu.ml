@@ -1,91 +1,155 @@
 open Agg_util
 
 module Core = struct
-  type entry = { mutable count : int; mutable tick : int }
+  (* Arena-backed LFU with O(1) frequency buckets. Every in-cache count
+     held by some resident has a bucket: an arena list of its keys, least
+     recently touched at the front. The live buckets' links sit on [chain]
+     in ascending count order, so the victim — smallest count, then oldest
+     touch — is the front key of the first bucket. A touch moves the key to
+     the back of the count+1 bucket ([Cold]: the count-0 bucket), opening
+     that bucket at its place in the chain when absent. A bucket that
+     empties goes back on [spare] with its list, so [capacity + 1] buckets
+     (every resident in its own bucket, plus one opened mid-move) are
+     allocated once and reused for the cache's whole life. *)
+
+  type bucket = {
+    keys : Dlist_arena.list_; (* least recently touched first *)
+    link : Dlist_arena.node; (* on [chain] or [spare]; its key is the bucket id *)
+    mutable count : int;
+  }
 
   type t = {
     capacity : int;
-    index : (int, entry) Hashtbl.t;
-    (* Min-heap of (count, tick, key) snapshots with lazy invalidation: an
-       entry is live only if its snapshot matches the table. *)
-    heap : (int * int * int, int) Heap.t;
-    mutable clock : int;
+    arena : Dlist_arena.t;
+    chain : Dlist_arena.list_; (* links of the live buckets, ascending count *)
+    spare : Dlist_arena.list_; (* links of the empty buckets *)
+    buckets : bucket array; (* by bucket id *)
+    index : Int_table.t; (* key -> node *)
+    owner : Int_table.t; (* key node -> bucket id *)
   }
 
   let policy_name = "lfu"
 
-  let compare_prio (c1, t1, _) (c2, t2, _) =
-    match compare c1 c2 with 0 -> compare t1 t2 | c -> c
-
   let create ~capacity =
     if capacity <= 0 then invalid_arg "Lfu.create: capacity must be positive";
+    let arena = Dlist_arena.create ~capacity:((3 * capacity) + 4) () in
+    let chain = Dlist_arena.new_list arena in
+    let spare = Dlist_arena.new_list arena in
+    let buckets =
+      Array.init (capacity + 1) (fun id ->
+          let keys = Dlist_arena.new_list arena in
+          { keys; link = Dlist_arena.push_back arena spare id; count = 0 })
+    in
     {
       capacity;
-      index = Hashtbl.create (2 * capacity);
-      heap = Heap.create ~compare:compare_prio ();
-      clock = 0;
+      arena;
+      chain;
+      spare;
+      buckets;
+      index = Int_table.create ~capacity:(2 * capacity) ();
+      owner = Int_table.create ~capacity:((3 * capacity) + 4) ();
     }
 
   let capacity t = t.capacity
-  let size t = Hashtbl.length t.index
-  let mem t key = Hashtbl.mem t.index key
+  let size t = Int_table.length t.index
+  let mem t key = Int_table.mem t.index key
+  let bucket_at t link = t.buckets.(Dlist_arena.key t.arena link)
 
-  let tick t =
-    t.clock <- t.clock + 1;
-    t.clock
+  (* The bucket for [count], which belongs right after the live bucket
+     link [after] ({!Dlist_arena.nil}: at the front of the chain). *)
+  let bucket_after t after count =
+    let next =
+      if after = Dlist_arena.nil then Dlist_arena.first t.arena t.chain
+      else Dlist_arena.next t.arena t.chain after
+    in
+    if next <> Dlist_arena.nil && (bucket_at t next).count = count then bucket_at t next
+    else begin
+      let b = bucket_at t (Dlist_arena.first t.arena t.spare) in
+      b.count <- count;
+      if after = Dlist_arena.nil then Dlist_arena.move_to_front t.arena t.chain b.link
+      else Dlist_arena.move_after t.arena after b.link;
+      b
+    end
 
-  let push_snapshot t key entry = Heap.push t.heap (entry.count, entry.tick, key) key
+  let close_if_empty t b =
+    if Dlist_arena.is_empty t.arena b.keys then Dlist_arena.move_to_back t.arena t.spare b.link
+
+  (* Make [node] the newest key of [target], leaving bucket [from]. *)
+  let move t node ~from target =
+    Dlist_arena.move_to_back t.arena target.keys node;
+    Int_table.set t.owner node (Dlist_arena.key t.arena target.link);
+    close_if_empty t from
+
+  let touch t node ~pos =
+    let from = t.buckets.(Int_table.get t.owner node) in
+    match pos with
+    | Policy.Hot -> move t node ~from (bucket_after t from.link (from.count + 1))
+    | Policy.Cold -> move t node ~from (bucket_after t Dlist_arena.nil 0)
 
   let promote t key =
-    match Hashtbl.find_opt t.index key with
-    | Some entry ->
-        entry.count <- entry.count + 1;
-        entry.tick <- tick t;
-        push_snapshot t key entry
-    | None -> ()
+    let node = Int_table.get t.index key in
+    if node >= 0 then touch t node ~pos:Policy.Hot
 
-  let rec evict t =
-    match Heap.pop t.heap with
-    | None -> None
-    | Some ((count, tk, _), key) -> (
-        match Hashtbl.find_opt t.index key with
-        | Some entry when entry.count = count && entry.tick = tk ->
-            Hashtbl.remove t.index key;
-            Some key
-        | Some _ | None -> evict t (* stale snapshot *))
+  let remove t key =
+    let node = Int_table.get t.index key in
+    if node >= 0 then begin
+      let from = t.buckets.(Int_table.get t.owner node) in
+      Dlist_arena.remove t.arena node;
+      Int_table.remove t.owner node;
+      Int_table.remove t.index key;
+      close_if_empty t from
+    end
+
+  let evict t =
+    let first = Dlist_arena.first t.arena t.chain in
+    if first = Dlist_arena.nil then None
+    else begin
+      let key = Dlist_arena.key t.arena (Dlist_arena.first t.arena (bucket_at t first).keys) in
+      remove t key;
+      Some key
+    end
 
   let insert t ~pos key =
-    match Hashtbl.find_opt t.index key with
-    | Some entry ->
-        (* Repositioning a resident key: [Cold] demotes it to frequency
-           zero, [Hot] counts as an access. *)
-        (match pos with
-        | Policy.Hot -> entry.count <- entry.count + 1
-        | Policy.Cold -> entry.count <- 0);
-        entry.tick <- tick t;
-        push_snapshot t key entry;
-        None
-    | None ->
-        let victim = if size t >= t.capacity then evict t else None in
-        let count = match pos with Policy.Hot -> 1 | Policy.Cold -> 0 in
-        let entry = { count; tick = tick t } in
-        Hashtbl.replace t.index key entry;
-        push_snapshot t key entry;
-        victim
+    let node = Int_table.get t.index key in
+    if node >= 0 then begin
+      (* Repositioning a resident key: [Cold] demotes it to frequency
+         zero, [Hot] counts as an access. *)
+      touch t node ~pos;
+      None
+    end
+    else begin
+      (* A new key enters the count-0 bucket; a demanded one then counts
+         its first access, landing as the newest key of count 1. *)
+      let victim = if size t >= t.capacity then evict t else None in
+      let zero = bucket_after t Dlist_arena.nil 0 in
+      let node = Dlist_arena.push_back t.arena zero.keys key in
+      Int_table.set t.owner node (Dlist_arena.key t.arena zero.link);
+      Int_table.set t.index key node;
+      if pos = Policy.Hot then touch t node ~pos;
+      victim
+    end
 
-  let remove t key = Hashtbl.remove t.index key
-
+  (* Highest count first, newest touch first within a count. *)
   let contents t =
-    let entries = Hashtbl.fold (fun key entry acc -> (entry.count, entry.tick, key) :: acc) t.index [] in
-    let sorted = List.sort (fun a b -> compare_prio b a) entries in
-    List.map (fun (_, _, key) -> key) sorted
+    Dlist_arena.fold t.arena t.chain ~init:[] ~f:(fun acc id ->
+        Dlist_arena.fold t.arena t.buckets.(id).keys ~init:acc ~f:(fun acc key -> key :: acc))
 
   let clear t =
-    Hashtbl.reset t.index;
-    Heap.clear t.heap;
-    t.clock <- 0
+    let rec loop () =
+      let link = Dlist_arena.first t.arena t.chain in
+      if link <> Dlist_arena.nil then begin
+        Dlist_arena.clear_list t.arena (bucket_at t link).keys;
+        Dlist_arena.move_to_back t.arena t.spare link;
+        loop ()
+      end
+    in
+    loop ();
+    Int_table.clear t.index;
+    Int_table.clear t.owner
 
-  let frequency t key = Option.map (fun e -> e.count) (Hashtbl.find_opt t.index key)
+  let frequency t key =
+    let node = Int_table.get t.index key in
+    if node < 0 then None else Some t.buckets.(Int_table.get t.owner node).count
 end
 
 include Policy.Weighted_of_unit (Core)

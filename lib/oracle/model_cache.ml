@@ -855,6 +855,19 @@ let clear t =
   t.wnonunit <- 0;
   t.wused <- 0
 
+(* --- policy probes --------------------------------------------------------- *)
+
+let arc_model t =
+  match t.state with Arc m -> m | _ -> invalid_arg "Model_cache: not an ARC model"
+
+let arc_target t = (arc_model t).p
+let arc_in_t2 t key = List.mem key (arc_model t).t2
+
+let lfu_entries t =
+  match t.state with
+  | Lfu m -> List.map (fun (key, e) -> (key, e.count, e.tick)) m.entries
+  | _ -> invalid_arg "Model_cache: not an LFU model"
+
 (* --- weighted reference policies -----------------------------------------
 
    List-based restatements of the Landlord / GreedyDual-Size / bundle

@@ -52,11 +52,30 @@ val evict : t -> int option
 
 val remove : t -> int -> unit
 val contents : t -> int list
-(** Resident keys, in no particular order (compare as sets). *)
+(** Resident keys. ARC's are in the optimized cache's exact order (T2
+    then T1, hot end first); compare other kinds as sets. *)
 
 val clear : t -> unit
 (** Mirrors [Policy.S.clear], including what it does {e not} reset (the
     [Random] PRNG stream continues, exactly like the optimized cache). *)
+
+(** {2 Policy probes} *)
+
+val arc_target : t -> int
+(** ARC's adaptation target — the reference for [Agg_cache.Arc.target].
+    @raise Invalid_argument when the model is not ARC. *)
+
+val arc_in_t2 : t -> int -> bool
+(** Whether the key is in ARC's frequent list T2 — the reference for
+    [Agg_cache.Arc.in_t2]. @raise Invalid_argument when the model is not
+    ARC. *)
+
+val lfu_entries : t -> (int * int * int) list
+(** Every LFU resident as [(key, count, tick)], in no particular order.
+    [count] is the reference for [Agg_cache.Lfu.frequency]; ticks are
+    unique, and sorting by [(count, tick)] descending gives the optimized
+    cache's exact [contents] order. @raise Invalid_argument when the model
+    is not LFU. *)
 
 (** Reference Landlord (Young's rent-based file caching): each resident
     holds credit, initially its retrieval cost; eviction charges every

@@ -106,8 +106,13 @@ let move_to_back t l n =
   unlink t n;
   link_after t t.prev.(l) n
 
+let move_after t anchor n =
+  unlink t n;
+  link_after t anchor n
+
 let first t l = if t.next.(l) = l then nil else t.next.(l)
 let last t l = if t.prev.(l) = l then nil else t.prev.(l)
+let next t l n = if t.next.(n) = l then nil else t.next.(n)
 
 let pop_front t l =
   let n = t.next.(l) in

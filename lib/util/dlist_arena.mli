@@ -5,8 +5,8 @@
     into those arrays, so list operations are pure array reads and writes
     with no boxed nodes and no per-operation allocation. Several lists
     (each identified by a sentinel slot) can share one arena, which is how
-    segmented policies (SLRU, 2Q, MQ) keep all their queues in one pair of
-    cache-friendly arrays.
+    segmented policies (SLRU, 2Q, MQ, ARC) and LFU's frequency buckets
+    keep all their lists in one set of cache-friendly arrays.
 
     Node indices are stable while a node is linked: moving a node between
     lists of the same arena ({!move_to_front} / {!move_to_back} accept a
@@ -61,11 +61,20 @@ val move_to_front : t -> list_ -> node -> unit
 
 val move_to_back : t -> list_ -> node -> unit
 
+val move_after : t -> node -> node -> unit
+(** [move_after t anchor n] relinks [n] (from any list of [t]) right
+    after the linked node [anchor], into [anchor]'s list. The node index
+    is unchanged. [anchor] must differ from [n]. *)
+
 val first : t -> list_ -> node
 (** Front node of the list, or {!nil} when empty. *)
 
 val last : t -> list_ -> node
 (** Back node of the list, or {!nil} when empty. *)
+
+val next : t -> list_ -> node -> node
+(** [next t l n] is the node after [n] in [l], or {!nil} when [n] is
+    the back node. *)
 
 val pop_front : t -> list_ -> int
 (** Removes the front node and returns its key, or [-1] when empty. *)

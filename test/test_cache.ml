@@ -1,7 +1,7 @@
 (* Tests for the cache substrate: every replacement policy, the
    statistics wrapper (including the group-block insertion that the
-   aggregating cache depends on), Belady's optimal, and the two-level
-   composition. *)
+   aggregating cache depends on), Belady's optimal, and a bound on every
+   policy's memory under repeated hits. *)
 
 open Agg_cache
 
@@ -496,99 +496,54 @@ let test_belady_invalid () =
   Alcotest.check_raises "cap 0" (Invalid_argument "Belady.simulate: capacity must be positive")
     (fun () -> ignore (Belady.simulate ~capacity:0 [| 1 |]))
 
-(* --- Multilevel -------------------------------------------------------- *)
-
-let test_multilevel_outcomes () =
-  let ml =
-    Multilevel.create
-      ~client:(Cache.create Cache.Lru ~capacity:1)
-      ~server:(Cache.create Cache.Lru ~capacity:2)
-  in
-  check_bool "first access misses everywhere" true (Multilevel.access ml 1 = Multilevel.Server_miss);
-  check_bool "client hit" true (Multilevel.access ml 1 = Multilevel.Client_hit);
-  check_bool "2 misses" true (Multilevel.access ml 2 = Multilevel.Server_miss);
-  (* 1 was evicted from the 1-entry client but the server still holds it *)
-  check_bool "server hit" true (Multilevel.access ml 1 = Multilevel.Server_hit)
-
-let test_multilevel_hit_rate () =
-  let ml =
-    Multilevel.create
-      ~client:(Cache.create Cache.Lru ~capacity:1)
-      ~server:(Cache.create Cache.Lru ~capacity:4)
-  in
-  List.iter (fun k -> ignore (Multilevel.access ml k)) [ 1; 2; 1; 2; 1; 2 ];
-  (* client absorbs nothing (alternating), server hits after warm-up *)
-  check_bool "server rate in (0,1)" true
-    (Multilevel.server_hit_rate ml > 0.0 && Multilevel.server_hit_rate ml < 1.0);
-  Multilevel.reset_stats ml;
-  check_int "reset" 0 (Cache.stats (Multilevel.server ml)).Cache.accesses
-
 (* --- arena ports vs the pre-arena pointer implementation ---------------- *)
 
-(* The boxed-node implementation the pure-recency policies had before the
-   arena port, re-derived in test scope: an [Agg_util.Dlist] of pointer
-   nodes plus a [Hashtbl] index. The three flavours differ only in
-   whether accesses promote ([`Fifo] ignores them, including a [Hot]
-   re-insert) and which end evicts ([`Mru] the front). The arena-backed
-   ports must match it operation for operation, including the exact
-   [contents] order — a stronger pin than the order-free
-   [Oracle.Model_cache] agreement. *)
+(* The pointer implementation the pure-recency policies had before the
+   arena port, restated in test scope as a plain [int list] (hot end
+   first). The three flavours differ only in whether accesses promote
+   ([`Fifo] ignores them, including a [Hot] re-insert) and which end
+   evicts ([`Mru] the front). The arena-backed ports must match it
+   operation for operation, including the exact [contents] order — a
+   stronger pin than the order-free [Oracle.Model_cache] agreement. *)
 module Pointer = struct
-  module Dlist = Agg_util.Dlist
+  type t = { flavour : [ `Lru | `Fifo | `Mru ]; capacity : int; mutable order : int list }
 
-  type t = {
-    flavour : [ `Lru | `Fifo | `Mru ];
-    capacity : int;
-    order : int Dlist.t;
-    index : (int, int Dlist.node) Hashtbl.t;
-  }
-
-  let create flavour ~capacity =
-    { flavour; capacity; order = Dlist.create (); index = Hashtbl.create (2 * capacity) }
-
-  let size t = Dlist.length t.order
-  let mem t key = Hashtbl.mem t.index key
+  let create flavour ~capacity = { flavour; capacity; order = [] }
+  let size t = List.length t.order
+  let mem t key = List.mem key t.order
+  let without t key = List.filter (fun k -> k <> key) t.order
+  let to_front t key = t.order <- key :: without t key
+  let to_back t key = t.order <- without t key @ [ key ]
 
   let promote t key =
-    match (t.flavour, Hashtbl.find_opt t.index key) with
-    | `Fifo, _ | _, None -> ()
-    | (`Lru | `Mru), Some node -> Dlist.move_to_front t.order node
+    match t.flavour with `Fifo -> () | `Lru | `Mru -> if mem t key then to_front t key
 
   let evict t =
     let victim =
-      match t.flavour with
-      | `Mru -> Dlist.pop_front t.order
-      | `Lru | `Fifo -> Dlist.pop_back t.order
+      match (t.flavour, t.order) with
+      | _, [] -> None
+      | `Mru, front :: _ -> Some front
+      | (`Lru | `Fifo), order -> Some (List.nth order (List.length order - 1))
     in
-    Option.iter (Hashtbl.remove t.index) victim;
+    Option.iter (fun k -> t.order <- without t k) victim;
     victim
 
   let insert t ~pos key =
-    match Hashtbl.find_opt t.index key with
-    | Some node ->
-        (match (pos, t.flavour) with
-        | Policy.Hot, `Fifo -> ()
-        | Policy.Hot, (`Lru | `Mru) -> Dlist.move_to_front t.order node
-        | Policy.Cold, _ -> Dlist.move_to_back t.order node);
-        None
-    | None ->
-        let victim = if size t >= t.capacity then evict t else None in
-        let node =
-          match pos with
-          | Policy.Hot -> Dlist.push_front t.order key
-          | Policy.Cold -> Dlist.push_back t.order key
-        in
-        Hashtbl.replace t.index key node;
-        victim
+    if mem t key then begin
+      (match (pos, t.flavour) with
+      | Policy.Hot, `Fifo -> ()
+      | Policy.Hot, (`Lru | `Mru) -> to_front t key
+      | Policy.Cold, _ -> to_back t key);
+      None
+    end
+    else begin
+      let victim = if size t >= t.capacity then evict t else None in
+      (match pos with Policy.Hot -> to_front t key | Policy.Cold -> to_back t key);
+      victim
+    end
 
-  let remove t key =
-    match Hashtbl.find_opt t.index key with
-    | Some node ->
-        Dlist.remove t.order node;
-        Hashtbl.remove t.index key
-    | None -> ()
-
-  let contents t = Dlist.to_list t.order
+  let remove t key = t.order <- without t key
+  let contents t = t.order
 end
 
 let pointer_agreement name flavour (module P : Policy.S) =
@@ -624,6 +579,30 @@ let pointer_agreement name flavour (module P : Policy.S) =
           && P.mem real key = Pointer.mem model key
           && P.contents real = Pointer.contents model)
         ops)
+
+(* --- bounded memory ------------------------------------------------------- *)
+
+let test_memory_bounded_by_capacity () =
+  (* Hitting a full cache must not grow it: every policy's footprint is a
+     function of its capacity and key range, never of how many accesses it
+     has served. A lazily invalidated structure that keeps one record per
+     hit fails this by hundreds of thousands of words. *)
+  List.iter
+    (fun kind ->
+      let cache = Cache.create kind ~capacity:4 in
+      for k = 0 to 3 do
+        ignore (Cache.access cache k)
+      done;
+      let filled = Obj.reachable_words (Obj.repr cache) in
+      for i = 1 to 200_000 do
+        ignore (Cache.access cache (i land 3))
+      done;
+      let hit = Obj.reachable_words (Obj.repr cache) in
+      check_bool
+        (Printf.sprintf "%s: %d words after fill, %d after 200k hits" (Cache.kind_name kind) filled hit)
+        true
+        (hit <= filled + 16))
+    Cache.all_kinds
 
 (* --- weighted facade ----------------------------------------------------- *)
 
@@ -854,11 +833,8 @@ let () =
           Alcotest.test_case "beats lru" `Quick test_belady_beats_lru;
           Alcotest.test_case "invalid" `Quick test_belady_invalid;
         ] );
-      ( "multilevel",
-        [
-          Alcotest.test_case "outcomes" `Quick test_multilevel_outcomes;
-          Alcotest.test_case "hit rate" `Quick test_multilevel_hit_rate;
-        ] );
+      ( "memory",
+        [ Alcotest.test_case "bounded by capacity" `Quick test_memory_bounded_by_capacity ] );
       ( "weighted",
         [
           Alcotest.test_case "multi-victim eviction" `Quick test_weighted_multi_victim_contents;

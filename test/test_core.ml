@@ -258,24 +258,16 @@ let test_server_plain_lru_matches_multilevel () =
       ~scheme:(Server_cache.Plain Agg_cache.Cache.Lru) ()
   in
   let m = Server_cache.run sim trace in
-  (* reference: explicit two-level composition *)
-  let ml =
-    Agg_cache.Multilevel.create
-      ~client:(Agg_cache.Cache.create Agg_cache.Cache.Lru ~capacity:100)
-      ~server:(Agg_cache.Cache.create Agg_cache.Cache.Lru ~capacity:50)
+  (* reference: the oracle's list-based two-level model *)
+  let reference =
+    Agg_oracle.Model_system.Server.(
+      run
+        (create ~filter_kind:Agg_cache.Cache.Lru ~filter_capacity:100 ~server_capacity:50
+           ~scheme:(Server_cache.Plain Agg_cache.Cache.Lru) ())
+        trace)
   in
-  let server_hits = ref 0 and server_requests = ref 0 in
-  Agg_trace.Trace.iter
-    (fun (e : Agg_trace.Event.t) ->
-      match Agg_cache.Multilevel.access ml e.Agg_trace.Event.file with
-      | Agg_cache.Multilevel.Client_hit -> ()
-      | Agg_cache.Multilevel.Server_hit ->
-          incr server_hits;
-          incr server_requests
-      | Agg_cache.Multilevel.Server_miss -> incr server_requests)
-    trace;
-  check_int "requests match" !server_requests m.Metrics.server_requests;
-  check_int "hits match" !server_hits m.Metrics.server_hits
+  check_int "requests match" reference.Metrics.server_requests m.Metrics.server_requests;
+  check_int "hits match" reference.Metrics.server_hits m.Metrics.server_hits
 
 let test_server_metric_identities () =
   let trace = server_trace () in

@@ -143,6 +143,83 @@ let agreement_properties =
           | Some d -> QCheck.Test.fail_reportf "step %d: %s" d.Diff_engine.step d.Diff_engine.detail))
     Cache.all_kinds
 
+(* --- qcheck: exact order and probes of ARC and LFU ---------------------- *)
+
+(* [Diff_engine] compares resident sets. This lockstep pins the two
+   adaptive policies harder: after every operation the optimized cache's
+   exact [contents] order and its policy-specific probes must equal the
+   model's. Keys range over [0, 25], so every probe is checked on every
+   key the run can touch. *)
+let probe_keys = List.init 26 Fun.id
+
+let exact_lockstep (type c) kind (module P : Policy.S with type t = c) ~model_order
+    ~(probes_agree : c -> Model_cache.t -> int -> bool) =
+  QCheck.Test.make
+    ~name:(Cache.kind_name kind ^ " matches its model's exact order and probes")
+    ~count:300
+    QCheck.(
+      pair (int_range 1 10)
+        (list_of_size (Gen.int_bound 200) (pair (int_range 0 49) (int_range 0 25))))
+    (fun (capacity, ops) ->
+      let real = P.create ~capacity and model = Model_cache.create kind ~capacity in
+      let insert pos key =
+        P.insert real ~pos ~weight:Policy.unit_weight key
+        = Model_cache.insert model ~pos ~weight:Policy.unit_weight key
+      in
+      List.for_all
+        (fun (op, key) ->
+          let same =
+            if op < 10 then begin
+              P.promote real key;
+              Model_cache.promote model key;
+              true
+            end
+            else if op < 25 then insert Policy.Hot key
+            else if op < 35 then insert Policy.Cold key
+            else if op < 41 then P.evict real = Model_cache.evict model
+            else if op < 47 then begin
+              P.remove real key;
+              Model_cache.remove model key;
+              true
+            end
+            else if op < 49 then P.mem real key = Model_cache.mem model key
+            else begin
+              P.clear real;
+              Model_cache.clear model;
+              true
+            end
+          in
+          same
+          && P.size real = Model_cache.size model
+          && P.contents real = model_order model
+          && List.for_all (probes_agree real model) probe_keys)
+        ops)
+
+let lfu_model_order model =
+  Model_cache.lfu_entries model
+  |> List.sort (fun (_, c1, t1) (_, c2, t2) -> compare (c2, t2) (c1, t1))
+  |> List.map (fun (key, _, _) -> key)
+
+let exact_lockstep_properties =
+  [
+    exact_lockstep Cache.Arc
+      (module Agg_cache.Arc)
+      ~model_order:Model_cache.contents
+      ~probes_agree:(fun real model key ->
+        Agg_cache.Arc.target real = Model_cache.arc_target model
+        && Agg_cache.Arc.in_t2 real key = Model_cache.arc_in_t2 model key);
+    exact_lockstep Cache.Lfu
+      (module Agg_cache.Lfu)
+      ~model_order:lfu_model_order
+      ~probes_agree:(fun real model key ->
+        let count =
+          List.find_map
+            (fun (k, count, _) -> if k = key then Some count else None)
+            (Model_cache.lfu_entries model)
+        in
+        Agg_cache.Lfu.frequency real key = count);
+  ]
+
 (* --- qcheck: successor models ----------------------------------------- *)
 
 let successor_property policy pname =
@@ -239,7 +316,7 @@ let test_lru_equivalence () =
   check_all_pass (Diff_engine.lru_equivalence_checks ~seed:31 ~events:1_500)
 
 let qcheck_tests =
-  agreement_properties
+  agreement_properties @ exact_lockstep_properties
   @ [
       successor_property Successor_list.Recency "recency";
       successor_property Successor_list.Frequency "frequency";

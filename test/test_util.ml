@@ -262,67 +262,6 @@ let test_stats_helpers () =
   check_float "percent change" 50.0 (Stats.percent_change ~baseline:2.0 ~value:3.0);
   check_float "log2" 3.0 (Stats.log2 8.0)
 
-(* --- Dlist ---------------------------------------------------------- *)
-
-let test_dlist_order () =
-  let l = Dlist.create () in
-  ignore (Dlist.push_front l 2);
-  ignore (Dlist.push_front l 1);
-  ignore (Dlist.push_back l 3);
-  Alcotest.(check (list int)) "front-to-back" [ 1; 2; 3 ] (Dlist.to_list l);
-  check_int "length" 3 (Dlist.length l)
-
-let test_dlist_moves () =
-  let l = Dlist.create () in
-  let a = Dlist.push_back l 'a' in
-  let _b = Dlist.push_back l 'b' in
-  let c = Dlist.push_back l 'c' in
-  Dlist.move_to_front l c;
-  Dlist.move_to_back l a;
-  Alcotest.(check (list char)) "after moves" [ 'c'; 'b'; 'a' ] (Dlist.to_list l)
-
-let test_dlist_remove () =
-  let l = Dlist.create () in
-  let a = Dlist.push_back l 1 in
-  let b = Dlist.push_back l 2 in
-  Dlist.remove l b;
-  Dlist.remove l b;
-  (* second removal is a no-op *)
-  check_int "length" 1 (Dlist.length l);
-  Dlist.remove l a;
-  check_bool "empty" true (Dlist.is_empty l)
-
-let test_dlist_pops () =
-  let l = Dlist.create () in
-  Alcotest.(check (option int)) "pop empty" None (Dlist.pop_front l);
-  ignore (Dlist.push_back l 1);
-  ignore (Dlist.push_back l 2);
-  Alcotest.(check (option int)) "peek front" (Some 1) (Dlist.peek_front l);
-  Alcotest.(check (option int)) "peek back" (Some 2) (Dlist.peek_back l);
-  Alcotest.(check (option int)) "pop front" (Some 1) (Dlist.pop_front l);
-  Alcotest.(check (option int)) "pop back" (Some 2) (Dlist.pop_back l);
-  check_bool "now empty" true (Dlist.is_empty l)
-
-let test_dlist_clear () =
-  let l = Dlist.create () in
-  let nodes = List.map (Dlist.push_back l) [ 1; 2; 3; 4 ] in
-  Dlist.clear l;
-  check_bool "empty" true (Dlist.is_empty l);
-  check_int "length" 0 (Dlist.length l);
-  (* cleared nodes are detached: removing them again is a safe no-op *)
-  List.iter (Dlist.remove l) nodes;
-  check_int "still empty" 0 (Dlist.length l);
-  ignore (Dlist.push_back l 9);
-  Alcotest.(check (list int)) "reusable after clear" [ 9 ] (Dlist.to_list l)
-
-let test_dlist_fold_iter () =
-  let l = Dlist.create () in
-  List.iter (fun v -> ignore (Dlist.push_back l v)) [ 1; 2; 3; 4 ];
-  check_int "fold sum" 10 (Dlist.fold ( + ) 0 l);
-  let seen = ref [] in
-  Dlist.iter (fun v -> seen := v :: !seen) l;
-  Alcotest.(check (list int)) "iter order" [ 4; 3; 2; 1 ] !seen
-
 (* --- Dlist_arena ----------------------------------------------------- *)
 
 let check_arena_invariant t =
@@ -377,6 +316,38 @@ let test_arena_pops () =
   check_int "pop back" 2 (Dlist_arena.pop_back t l);
   check_bool "now empty" true (Dlist_arena.is_empty t l);
   check_arena_invariant t
+
+let test_arena_moves_within_list () =
+  (* relinking inside one list, the positional [move_after] and the
+     [next] walk the frequency-bucket chain of LFU relies on *)
+  let t = Dlist_arena.create () in
+  let l = Dlist_arena.new_list t in
+  let a = Dlist_arena.push_back t l 1 in
+  let b = Dlist_arena.push_back t l 2 in
+  let c = Dlist_arena.push_back t l 3 in
+  Dlist_arena.move_to_front t l c;
+  Dlist_arena.move_to_back t l a;
+  Alcotest.(check (list int)) "after moves" [ 3; 2; 1 ] (Dlist_arena.to_list t l);
+  Dlist_arena.move_after t c a;
+  Alcotest.(check (list int)) "after move_after" [ 3; 1; 2 ] (Dlist_arena.to_list t l);
+  check_int "next of front" a (Dlist_arena.next t l c);
+  check_int "next of back is nil" Dlist_arena.nil (Dlist_arena.next t l b);
+  let other = Dlist_arena.new_list t in
+  let d = Dlist_arena.push_back t other 4 in
+  Dlist_arena.move_after t d c;
+  Alcotest.(check (list int)) "moved out" [ 1; 2 ] (Dlist_arena.to_list t l);
+  Alcotest.(check (list int)) "moved in after anchor" [ 4; 3 ] (Dlist_arena.to_list t other);
+  check_int "node index kept" 3 (Dlist_arena.key t c);
+  check_arena_invariant t
+
+let test_arena_fold_iter () =
+  let t = Dlist_arena.create () in
+  let l = Dlist_arena.new_list t in
+  List.iter (fun v -> ignore (Dlist_arena.push_back t l v)) [ 1; 2; 3; 4 ];
+  check_int "fold sum" 10 (Dlist_arena.fold t l ~init:0 ~f:( + ));
+  let seen = ref [] in
+  Dlist_arena.iter t l (fun v -> seen := v :: !seen);
+  Alcotest.(check (list int)) "iter order" [ 4; 3; 2; 1 ] !seen
 
 let test_arena_clear_list () =
   let t = Dlist_arena.create ~capacity:2 () in
@@ -461,26 +432,6 @@ let test_pool_exception () =
 
 let test_pool_default_jobs () =
   check_bool "at least one domain" true (Pool.default_jobs () >= 1)
-
-(* --- Heap ------------------------------------------------------------ *)
-
-let test_heap_sorts () =
-  let h = Heap.create ~compare:Int.compare () in
-  List.iter (fun p -> Heap.push h p p) [ 5; 1; 4; 1; 3; 9; 2 ];
-  let rec drain acc = match Heap.pop h with Some (p, _) -> drain (p :: acc) | None -> List.rev acc in
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ] (drain [])
-
-let test_heap_peek_clear () =
-  let h = Heap.create ~compare:Int.compare () in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Heap.push h 3 "c";
-  Heap.push h 1 "a";
-  (match Heap.peek h with
-  | Some (1, "a") -> ()
-  | _ -> Alcotest.fail "peek should be smallest");
-  check_int "length" 2 (Heap.length h);
-  Heap.clear h;
-  check_bool "cleared" true (Heap.is_empty h)
 
 (* --- Vec -------------------------------------------------------------- *)
 
@@ -587,15 +538,6 @@ let qcheck_tests =
         let b = Prng.copy a in
         ignore (Prng.derive a index);
         Prng.bits64 a = Prng.bits64 b);
-    Test.make ~name:"Heap drain equals the sorted priority list" ~count:200
-      (list (pair small_int small_int))
-      (fun l ->
-        let h = Heap.create ~compare:Int.compare () in
-        List.iter (fun (p, v) -> Heap.push h p v) l;
-        let rec drain acc =
-          match Heap.pop h with Some (p, _) -> drain (p :: acc) | None -> List.rev acc
-        in
-        drain [] = List.sort compare (List.map fst l));
     Test.make ~name:"Vec push/pop round-trips against a list model" ~count:200
       (* [Some v] = push v, [None] = pop; the reference is a plain list
          used as a stack, compared op-for-op and on the final contents *)
@@ -640,13 +582,6 @@ let qcheck_tests =
         v >= 0 && v < bound);
     Test.make ~name:"Vec of_list/to_list roundtrip" ~count:200 (list int) (fun l ->
         Vec.to_list (Vec.of_list l) = l);
-    Test.make ~name:"Heap pop yields sorted order" ~count:200 (list small_int) (fun l ->
-        let h = Heap.create ~compare:Int.compare () in
-        List.iter (fun p -> Heap.push h p ()) l;
-        let rec drain acc =
-          match Heap.pop h with Some (p, ()) -> drain (p :: acc) | None -> List.rev acc
-        in
-        drain [] = List.sort compare l);
     Test.make ~name:"Pool.map agrees with List.map for any jobs" ~count:100
       (pair (int_range 1 8) (list small_int))
       (fun (jobs, xs) ->
@@ -656,10 +591,6 @@ let qcheck_tests =
       (fun (jobs, xs) ->
         Pool.map_reduce ~jobs ~map:string_of_int ~reduce:( ^ ) ~init:"" xs
         = List.fold_left ( ^ ) "" (List.map string_of_int xs));
-    Test.make ~name:"Dlist push_back preserves order" ~count:200 (list int) (fun l ->
-        let d = Dlist.create () in
-        List.iter (fun v -> ignore (Dlist.push_back d v)) l;
-        Dlist.to_list d = l);
     Test.make ~name:"Zipf sample within range" ~count:300
       (pair (int_range 1 50) (int_range 0 30))
       (fun (n, seed) ->
@@ -778,15 +709,6 @@ let () =
           Alcotest.test_case "histogram invalid" `Quick test_histogram_invalid;
           Alcotest.test_case "helpers" `Quick test_stats_helpers;
         ] );
-      ( "dlist",
-        [
-          Alcotest.test_case "order" `Quick test_dlist_order;
-          Alcotest.test_case "moves" `Quick test_dlist_moves;
-          Alcotest.test_case "remove" `Quick test_dlist_remove;
-          Alcotest.test_case "pops" `Quick test_dlist_pops;
-          Alcotest.test_case "clear" `Quick test_dlist_clear;
-          Alcotest.test_case "fold and iter" `Quick test_dlist_fold_iter;
-        ] );
       ( "dlist_arena",
         [
           Alcotest.test_case "order" `Quick test_arena_order;
@@ -794,6 +716,8 @@ let () =
           Alcotest.test_case "free-list reuse" `Quick test_arena_free_list_reuse;
           Alcotest.test_case "pops" `Quick test_arena_pops;
           Alcotest.test_case "clear_list" `Quick test_arena_clear_list;
+          Alcotest.test_case "moves within a list" `Quick test_arena_moves_within_list;
+          Alcotest.test_case "fold and iter" `Quick test_arena_fold_iter;
         ] );
       ( "int_table",
         [ Alcotest.test_case "basics" `Quick test_int_table_basics ] );
@@ -805,11 +729,6 @@ let () =
           Alcotest.test_case "invalid jobs" `Quick test_pool_invalid_jobs;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception;
           Alcotest.test_case "default jobs" `Quick test_pool_default_jobs;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "sorts" `Quick test_heap_sorts;
-          Alcotest.test_case "peek and clear" `Quick test_heap_peek_clear;
         ] );
       ( "vec",
         [
