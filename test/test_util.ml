@@ -268,6 +268,53 @@ let check_arena_invariant t =
   check_int "live + free = slots" (Dlist_arena.slots t)
     (Dlist_arena.live t + Dlist_arena.free t)
 
+(* Single-list behaviour: one list in its own arena, as every policy with
+   one recency list uses it. *)
+
+let test_dlist_order () =
+  let t = Dlist_arena.create () in
+  let l = Dlist_arena.new_list t in
+  ignore (Dlist_arena.push_front t l 2);
+  ignore (Dlist_arena.push_front t l 1);
+  ignore (Dlist_arena.push_back t l 3);
+  Alcotest.(check (list int)) "front-to-back" [ 1; 2; 3 ] (Dlist_arena.to_list t l);
+  check_int "length" 3 (Dlist_arena.length t l)
+
+let test_dlist_remove () =
+  let t = Dlist_arena.create () in
+  let l = Dlist_arena.new_list t in
+  let a = Dlist_arena.push_back t l 1 in
+  let b = Dlist_arena.push_back t l 2 in
+  Dlist_arena.remove t b;
+  check_int "length" 1 (Dlist_arena.length t l);
+  Alcotest.(check (list int)) "survivor" [ 1 ] (Dlist_arena.to_list t l);
+  Dlist_arena.remove t a;
+  check_bool "empty" true (Dlist_arena.is_empty t l);
+  check_arena_invariant t
+
+let test_dlist_pops () =
+  let t = Dlist_arena.create () in
+  let l = Dlist_arena.new_list t in
+  check_int "pop empty" (-1) (Dlist_arena.pop_front t l);
+  check_int "first of empty" Dlist_arena.nil (Dlist_arena.first t l);
+  ignore (Dlist_arena.push_back t l 1);
+  ignore (Dlist_arena.push_back t l 2);
+  check_int "peek front" 1 (Dlist_arena.key t (Dlist_arena.first t l));
+  check_int "peek back" 2 (Dlist_arena.key t (Dlist_arena.last t l));
+  check_int "pop front" 1 (Dlist_arena.pop_front t l);
+  check_int "pop back" 2 (Dlist_arena.pop_back t l);
+  check_bool "now empty" true (Dlist_arena.is_empty t l)
+
+let test_dlist_clear () =
+  let t = Dlist_arena.create () in
+  let l = Dlist_arena.new_list t in
+  List.iter (fun v -> ignore (Dlist_arena.push_back t l v)) [ 1; 2; 3; 4 ];
+  Dlist_arena.clear_list t l;
+  check_bool "empty" true (Dlist_arena.is_empty t l);
+  check_int "length" 0 (Dlist_arena.length t l);
+  ignore (Dlist_arena.push_back t l 9);
+  Alcotest.(check (list int)) "reusable after clear" [ 9 ] (Dlist_arena.to_list t l)
+
 let test_arena_order () =
   let t = Dlist_arena.create ~capacity:2 () in
   let l = Dlist_arena.new_list t in
@@ -620,6 +667,11 @@ let qcheck_tests =
                    Int_table.get t key = Option.value ~default:(-1) (Hashtbl.find_opt model key))
                  (List.init 41 Fun.id))
           ops);
+    Test.make ~name:"Dlist push_back preserves order" ~count:200 (list int) (fun xs ->
+        let t = Dlist_arena.create ~capacity:1 () in
+        let l = Dlist_arena.new_list t in
+        List.iter (fun v -> ignore (Dlist_arena.push_back t l v)) xs;
+        Dlist_arena.to_list t l = xs);
     Test.make ~name:"Dlist_arena keeps live + free = slots and mirrors a list model" ~count:200
       (list (pair (int_range 0 3) (int_range 0 30)))
       (fun ops ->
@@ -708,6 +760,13 @@ let () =
           Alcotest.test_case "histogram clamps" `Quick test_histogram_clamps;
           Alcotest.test_case "histogram invalid" `Quick test_histogram_invalid;
           Alcotest.test_case "helpers" `Quick test_stats_helpers;
+        ] );
+      ( "dlist",
+        [
+          Alcotest.test_case "order" `Quick test_dlist_order;
+          Alcotest.test_case "remove" `Quick test_dlist_remove;
+          Alcotest.test_case "pops" `Quick test_dlist_pops;
+          Alcotest.test_case "clear" `Quick test_dlist_clear;
         ] );
       ( "dlist_arena",
         [
