@@ -31,14 +31,6 @@ let profile_arg =
     & info [ "p"; "profile" ] ~docv:"PROFILE"
         ~doc:"Workload profile (workstation|users|write|server|scientific|streaming).")
 
-let events_arg =
-  Arg.(value & opt int 60_000 & info [ "n"; "events" ] ~docv:"N" ~doc:"Number of trace events.")
-
-let seed_arg = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
-
-let quick_arg =
-  Arg.(value & flag & info [ "quick" ] ~doc:"Use a small event count for a fast run.")
-
 (* Counts that make no sense at zero or below are rejected at parse time
    with a one-line error instead of silently misbehaving downstream. *)
 let positive_int what =
@@ -49,6 +41,17 @@ let positive_int what =
     | None -> Error (`Msg (Printf.sprintf "%s must be a positive integer (got %S)" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let events_arg =
+  Arg.(
+    value
+    & opt (positive_int "--events") 60_000
+    & info [ "n"; "events" ] ~docv:"N" ~doc:"Number of trace events.")
+
+let seed_arg = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
+
+let quick_arg =
+  Arg.(value & flag & info [ "quick" ] ~doc:"Use a small event count for a fast run.")
 
 let jobs_arg =
   Arg.(

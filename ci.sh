@@ -53,11 +53,12 @@ if ! grep -rq 'Agg_util\.Prng' lib/scenario; then
   exit 1
 fi
 
-# The weighted baselines (Landlord, GreedyDual-Size, Bundle) are
-# deterministic by contract — their lockstep differential against the
-# lib/oracle models and the unit-weight LRU-equivalence checks assume
-# replay is a pure function of the op sequence. Any entropy source,
-# Agg_util.Prng included, would break that.
+# The weighted baselines (Landlord and Bundle on the one GreedyDual-Size
+# rent core) are deterministic by contract — their lockstep differential
+# against the lib/oracle models (the inflation-form models, and the
+# drain-form Landlord on exact weights), and the unit-weight
+# LRU-equivalence checks assume replay is a pure function of the op
+# sequence. Any entropy source, Agg_util.Prng included, would break that.
 if grep -rnE '(^|[^.A-Za-z_])(Stdlib\.)?Random\.|Prng\.' \
     lib/baselines/landlord.ml lib/baselines/greedy_dual.ml lib/baselines/bundle.ml 2>/dev/null; then
   echo "ci.sh: the weighted baselines must stay deterministic (see matches above)" >&2
@@ -147,7 +148,7 @@ dune build @telemetry
 
 # Weighted gate: smoke-run `aggsim weighted` (size/cost-skewed profiles,
 # rent-based baselines vs the aggregating cache) in table and sweep
-# forms.
+# forms, and check `weighted --events=-5` is a usage error.
 dune build @weighted
 
 # Micro gate: Bechamel micro-benchmarks and the per-policy throughput

@@ -1,27 +1,16 @@
 module Policy = Agg_cache.Policy
 
-(* The bundle policy is Landlord's rent mechanics with one extra entry
-   point: a whole (deduplicated) bundle served in a single call, with
-   every member's credit refreshed — resident or just fetched — so
-   co-requested files stay resident as a unit. *)
-type t = Landlord.t
+(* The bundle policy is Landlord (the [Greedy_dual] rent core) with one
+   extra entry point: a whole (deduplicated) bundle served in a single
+   call, with every member's priority refreshed — resident or just
+   fetched — so co-requested files stay resident as a unit. *)
+include Landlord
 
 let policy_name = "bundle"
-let create = Landlord.create
-let capacity = Landlord.capacity
-let size = Landlord.size
-let used = Landlord.used
-let mem = Landlord.mem
-let promote = Landlord.promote
-let charge = Landlord.charge
-let evict = Landlord.evict
-let remove = Landlord.remove
-let contents = Landlord.contents
-let clear = Landlord.clear
 
 let insert t ~pos ~weight:(w : Policy.weight) key =
   Policy.check_weight ~who:policy_name w;
-  Landlord.insert t ~pos ~weight:w key
+  insert t ~pos ~weight:w key
 
 let request_bundle t ~weight_of keys =
   (* first occurrence of each member wins, in request order *)

@@ -11,6 +11,10 @@
     together. On singleton requests the policy coincides with
     {!Landlord}.
 
+    It runs on the shared {!Greedy_dual} core (Landlord in inflation
+    form), which equals the credit-draining form in exact arithmetic and
+    differs from it only on float rounding ties.
+
     Implements {!Agg_cache.Policy.S} (the per-file surface behaves as
     Landlord does); deterministic, draws no randomness at all. *)
 

@@ -1,18 +1,21 @@
 open Agg_util
 module Policy = Agg_cache.Policy
 
-(* Same layout as [Landlord]: an arena-backed recency list for tie-breaks
-   plus per-node side arrays, here holding the GreedyDual-Size priority
-   [H = L + cost/size]. Instead of draining credits, eviction raises the
-   global inflation floor [L] to the victim's priority, which ages every
-   other resident for free. *)
+(* The one rent core, shared by [Landlord] and [Bundle]. Residents live on
+   an arena-backed recency list (hot end first) for tie-breaks, with
+   per-node side arrays holding the GreedyDual-Size priority
+   [H = L + cost/size] and the size. Instead of draining credits,
+   eviction raises the global inflation floor [L] to the victim's
+   priority, which ages every other resident for free. The arena holds
+   one sentinel plus at most [capacity] residents (every size is at least
+   1), so it never grows and node indices stay below [capacity + 1]. *)
 type t = {
   cap : int;
   arena : Dlist_arena.t;
   order : Dlist_arena.list_; (* recency, hot end first *)
   index : Int_table.t; (* key -> node *)
-  mutable h : float array; (* node -> priority *)
-  mutable sizes : int array; (* node -> size *)
+  h : float array; (* node -> priority *)
+  sizes : int array; (* node -> size *)
   mutable inflation : float; (* L, non-decreasing *)
   mutable count : int;
   mutable used : int;
@@ -41,19 +44,6 @@ let size t = t.count
 let used t = t.used
 let mem t key = Int_table.get t.index key >= 0
 let contents t = Dlist_arena.to_list t.arena t.order
-
-let ensure t node =
-  let n = Array.length t.h in
-  if node >= n then begin
-    let n' = max (node + 1) (2 * n) in
-    let c = Array.make n' 0.0 in
-    Array.blit t.h 0 c 0 n;
-    t.h <- c;
-    let s = Array.make n' 1 in
-    Array.blit t.sizes 0 s 0 n;
-    t.sizes <- s
-  end
-
 let priority t ~size ~cost = t.inflation +. (float_of_int cost /. float_of_int size)
 
 let promote t key =
@@ -91,6 +81,7 @@ let insert t ~pos ~weight:(w : Policy.weight) key =
   Policy.check_weight ~who:policy_name w;
   let node = Int_table.get t.index key in
   if node >= 0 then begin
+    (* reposition only; priority and recorded weight are untouched *)
     (match pos with
     | Policy.Hot -> Dlist_arena.move_to_front t.arena t.order node
     | Policy.Cold -> Dlist_arena.move_to_back t.arena t.order node);
@@ -109,7 +100,6 @@ let insert t ~pos ~weight:(w : Policy.weight) key =
       | Policy.Hot -> Dlist_arena.push_front t.arena t.order key
       | Policy.Cold -> Dlist_arena.push_back t.arena t.order key
     in
-    ensure t node;
     t.h.(node) <- priority t ~size:w.Policy.size ~cost:w.Policy.cost;
     t.sizes.(node) <- w.Policy.size;
     Int_table.set t.index key node;

@@ -8,6 +8,10 @@
     resolved towards the least recently used, which makes the policy
     access-for-access identical to LRU at unit size/cost.
 
+    This is the one rent core: {!Landlord} and {!Bundle} run on it. It
+    equals Landlord's credit-draining form in exact arithmetic and
+    differs from it only on float rounding ties.
+
     Implements {!Agg_cache.Policy.S}; wrap with
     [Agg_cache.Cache.of_policy] for statistics. Deterministic: draws no
     randomness at all. *)

@@ -1,141 +1,20 @@
-open Agg_util
-module Policy = Agg_cache.Policy
-
-(* Residents live on one arena-backed recency list (hot end first); the
-   per-node credit and size side arrays are indexed by arena node, which
-   is stable while the node is linked. Victim selection and the rent
-   drain scan the recency order hot-to-cold — O(size), fine for a
-   baseline — and perform float arithmetic in exactly the per-key order
-   the reference model uses, so lockstep credits compare equal. *)
-type t = {
-  cap : int;
-  arena : Dlist_arena.t;
-  order : Dlist_arena.list_; (* recency, hot end first *)
-  index : Int_table.t; (* key -> node *)
-  mutable credit : float array; (* node -> remaining credit *)
-  mutable sizes : int array; (* node -> size *)
-  mutable count : int;
-  mutable used : int;
-}
+(* Landlord that re-credits to full cost on a hit is GreedyDual-Size in
+   inflation form (Young): the rent drain lowers every credit/size ratio
+   by the same amount, which is the same as raising a common floor. So
+   Landlord is the [Greedy_dual] core under its own name; only the
+   validation messages differ. *)
+include Greedy_dual
 
 let policy_name = "landlord"
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Landlord.create: capacity must be positive";
-  let arena = Dlist_arena.create ~capacity:(capacity + 1) () in
-  let order = Dlist_arena.new_list arena in
-  {
-    cap = capacity;
-    arena;
-    order;
-    index = Int_table.create ~capacity ();
-    credit = Array.make (capacity + 1) 0.0;
-    sizes = Array.make (capacity + 1) 1;
-    count = 0;
-    used = 0;
-  }
-
-let capacity t = t.cap
-let size t = t.count
-let used t = t.used
-let mem t key = Int_table.get t.index key >= 0
-let contents t = Dlist_arena.to_list t.arena t.order
-
-(* The arena grows by doubling, so node indices can outrun the side
-   arrays; grow them in step. *)
-let ensure t node =
-  let n = Array.length t.credit in
-  if node >= n then begin
-    let n' = max (node + 1) (2 * n) in
-    let c = Array.make n' 0.0 in
-    Array.blit t.credit 0 c 0 n;
-    t.credit <- c;
-    let s = Array.make n' 1 in
-    Array.blit t.sizes 0 s 0 n;
-    t.sizes <- s
-  end
-
-let promote t key =
-  let node = Int_table.get t.index key in
-  if node >= 0 then Dlist_arena.move_to_front t.arena t.order node
+  create ~capacity
 
 let charge t key ~cost =
   if cost <= 0 then invalid_arg "Landlord.charge: cost must be positive";
-  let node = Int_table.get t.index key in
-  if node >= 0 then t.credit.(node) <- float_of_int cost
+  charge t key ~cost
 
-let evict t =
-  if t.count = 0 then None
-  else begin
-    (* Victim: minimal credit/size rent ratio, ties towards the cold end
-       ([<=] while scanning hot-to-cold keeps the last minimum). *)
-    let victim = ref (-1) in
-    let best = ref infinity in
-    Dlist_arena.iter t.arena t.order (fun k ->
-        let n = Int_table.get t.index k in
-        let r = t.credit.(n) /. float_of_int t.sizes.(n) in
-        if r <= !best then begin
-          victim := k;
-          best := r
-        end);
-    let vn = Int_table.get t.index !victim in
-    let delta = t.credit.(vn) /. float_of_int t.sizes.(vn) in
-    (* Every other resident pays rent proportional to its size. *)
-    Dlist_arena.iter t.arena t.order (fun k ->
-        if k <> !victim then begin
-          let n = Int_table.get t.index k in
-          t.credit.(n) <- t.credit.(n) -. (delta *. float_of_int t.sizes.(n))
-        end);
-    t.used <- t.used - t.sizes.(vn);
-    t.count <- t.count - 1;
-    Dlist_arena.remove t.arena vn;
-    Int_table.remove t.index !victim;
-    Some !victim
-  end
-
-let insert t ~pos ~weight:(w : Policy.weight) key =
-  Policy.check_weight ~who:policy_name w;
-  let node = Int_table.get t.index key in
-  if node >= 0 then begin
-    (* reposition only; credit and recorded weight are untouched *)
-    (match pos with
-    | Policy.Hot -> Dlist_arena.move_to_front t.arena t.order node
-    | Policy.Cold -> Dlist_arena.move_to_back t.arena t.order node);
-    []
-  end
-  else if w.Policy.size > t.cap then []
-  else begin
-    let victims = ref [] in
-    while t.used + w.Policy.size > t.cap do
-      match evict t with
-      | Some v -> victims := v :: !victims
-      | None -> assert false (* used > 0 implies a resident victim *)
-    done;
-    let node =
-      match pos with
-      | Policy.Hot -> Dlist_arena.push_front t.arena t.order key
-      | Policy.Cold -> Dlist_arena.push_back t.arena t.order key
-    in
-    ensure t node;
-    t.credit.(node) <- float_of_int w.Policy.cost;
-    t.sizes.(node) <- w.Policy.size;
-    Int_table.set t.index key node;
-    t.count <- t.count + 1;
-    t.used <- t.used + w.Policy.size;
-    List.rev !victims
-  end
-
-let remove t key =
-  let node = Int_table.get t.index key in
-  if node >= 0 then begin
-    t.used <- t.used - t.sizes.(node);
-    t.count <- t.count - 1;
-    Dlist_arena.remove t.arena node;
-    Int_table.remove t.index key
-  end
-
-let clear t =
-  Dlist_arena.clear_list t.arena t.order;
-  Int_table.clear t.index;
-  t.count <- 0;
-  t.used <- 0
+let insert t ~pos ~weight key =
+  Agg_cache.Policy.check_weight ~who:policy_name weight;
+  insert t ~pos ~weight key

@@ -8,6 +8,14 @@
     evicted (ties resolved towards the least recently used — which makes
     the policy access-for-access identical to LRU at unit size/cost).
 
+    With full re-credit on a hit this is GreedyDual-Size in inflation
+    form, so the module runs the shared {!Greedy_dual} core under the
+    name ["landlord"]. In exact arithmetic the inflation form and the
+    credit-draining form choose the same victims; in floats they differ
+    only when two residents tie on priority up to rounding.
+    [Agg_oracle.Model_cache.Landlord] keeps the draining form as the
+    reference.
+
     Implements {!Agg_cache.Policy.S}; wrap with
     [Agg_cache.Cache.of_policy] for statistics. Deterministic: draws no
     randomness at all. *)

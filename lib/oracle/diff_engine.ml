@@ -14,6 +14,7 @@ type op =
   | Charge of int * int
   | Evict
   | Mem of int
+  | Remove of int
   | Clear
 
 let pos_name = function Policy.Hot -> "hot" | Policy.Cold -> "cold"
@@ -26,6 +27,7 @@ let op_to_string = function
   | Charge (k, cost) -> Printf.sprintf "charge %d c%d" k cost
   | Evict -> "evict"
   | Mem k -> Printf.sprintf "mem %d" k
+  | Remove k -> Printf.sprintf "remove %d" k
   | Clear -> "clear"
 
 let ops_to_string ops = String.concat "; " (List.map op_to_string ops)
@@ -60,6 +62,25 @@ let gen_weighted_ops prng ~universe ~max_size ~max_cost ~count =
       | 13 | 14 -> Mem (key ())
       | _ -> Clear)
 
+(* Power-of-two sizes up to 16 and integer costs make every credit/size
+   ratio and every priority a multiple of 1/16, so both rent forms
+   compute exactly in floats and no rounding tie can arise. *)
+let young_sizes = [| 1; 2; 4; 8; 16 |]
+
+let young_round prng ~universe ~capacity:_ ~count =
+  List.init count (fun _ ->
+      let key () = Prng.int prng universe in
+      let cost () = 1 + Prng.int prng 9 in
+      let weight () =
+        { Policy.size = young_sizes.(Prng.int prng (Array.length young_sizes)); cost = cost () }
+      in
+      match Prng.int prng 16 with
+      | 0 | 1 | 2 | 3 | 4 | 5 -> Insert (Policy.Hot, weight (), key ())
+      | 6 | 7 | 8 -> Insert (Policy.Cold, weight (), key ())
+      | 9 | 10 | 11 -> Promote (key ())
+      | 12 | 13 -> Charge (key (), cost ())
+      | _ -> Remove (key ()))
+
 type divergence = { step : int; detail : string }
 
 (* --- lockstep drivers ----------------------------------------------------
@@ -74,6 +95,7 @@ type driver = {
   d_charge : int -> int -> unit;
   d_evict : unit -> int option;
   d_mem : int -> bool;
+  d_remove : int -> unit;
   d_size : unit -> int;
   d_used : unit -> int;
   d_contents : unit -> int list;
@@ -101,6 +123,7 @@ let driver_of (type a) (module P : Policy.S with type t = a) (state : a) =
     d_charge = (fun k cost -> P.charge state k ~cost);
     d_evict = (fun () -> P.evict state);
     d_mem = (fun k -> P.mem state k);
+    d_remove = (fun k -> P.remove state k);
     d_size = (fun () -> P.size state);
     d_used = (fun () -> P.used state);
     d_contents = (fun () -> P.contents state);
@@ -118,6 +141,7 @@ let model_driver model =
     d_charge = (fun k cost -> Model_cache.charge model k ~cost);
     d_evict = (fun () -> Model_cache.evict model);
     d_mem = (fun k -> Model_cache.mem model k);
+    d_remove = (fun k -> Model_cache.remove model k);
     d_size = (fun () -> Model_cache.size model);
     d_used = (fun () -> Model_cache.used model);
     d_contents = (fun () -> Model_cache.contents model);
@@ -136,10 +160,14 @@ let weighted_driver wp ~capacity =
   | Gds -> driver_of (module Agg_baselines.Greedy_dual) (Agg_baselines.Greedy_dual.create ~capacity)
   | Bundle -> driver_of (module Agg_baselines.Bundle) (Agg_baselines.Bundle.create ~capacity)
 
+(* Every baseline runs the inflation-form rent core, so each is paired
+   with the inflation-form model: sizes up to capacity + 1 make float
+   rounding ties possible, and only a model of the same arithmetic form
+   breaks them the same way. The drain-form [Model_cache.Landlord] is
+   checked separately on exact inputs ([young_check]). *)
 let weighted_model_driver wp ~capacity =
   match wp with
-  | Landlord -> driver_of (module Model_cache.Landlord) (Model_cache.Landlord.create ~capacity)
-  | Gds -> driver_of (module Model_cache.Gds) (Model_cache.Gds.create ~capacity)
+  | Landlord | Gds -> driver_of (module Model_cache.Gds) (Model_cache.Gds.create ~capacity)
   | Bundle -> driver_of (module Model_cache.Bundle) (Model_cache.Bundle.create ~capacity)
 
 (* The seeded mutant: LRU whose promote sends a resident key to the *cold*
@@ -210,6 +238,10 @@ let run_pair ~capacity subject reference ops =
         let rs = subject.d_mem k and rm = reference.d_mem k in
         if rs <> rm then mismatch "answer" (string_of_bool rs) (string_of_bool rm)
         else check_state step op
+    | Remove k ->
+        subject.d_remove k;
+        reference.d_remove k;
+        check_state step op
     | Clear ->
         subject.d_clear ();
         reference.d_clear ();
@@ -276,29 +308,32 @@ let shrunk_report ~capacity fails ops (d : divergence) =
   Printf.sprintf "capacity=%d step=%d %s; shrunk repro (%d ops): %s" capacity d.step d.detail
     (List.length minimal) (ops_to_string minimal)
 
-(* Unit rounds draw classic unit-weight ops; weighted rounds mix sizes up
-   to one past the capacity (so the oversize bypass is exercised) with
-   costs in [1, 9] and charge ops. *)
-let round_gen ~weighted prng ~universe ~capacity ~count =
-  if weighted then gen_weighted_ops prng ~universe ~max_size:(capacity + 1) ~max_cost:9 ~count
-  else gen_ops prng ~universe ~count
+(* A round generator draws [count] ops for one fresh cache. Unit rounds
+   draw classic unit-weight ops; weighted rounds mix sizes up to one past
+   the capacity (so the oversize bypass is exercised) with costs in
+   [1, 9] and charge ops; Young rounds ([young_round]) draw exact
+   weights. *)
+let unit_round prng ~universe ~capacity:_ ~count = gen_ops prng ~universe ~count
 
-let fuzz_round ~label ~weighted ~run prng =
+let weighted_round prng ~universe ~capacity ~count =
+  gen_weighted_ops prng ~universe ~max_size:(capacity + 1) ~max_cost:9 ~count
+
+let fuzz_round ~label ~gen ~run prng =
   let capacity = 1 + Prng.int prng 24 in
   let universe = (capacity * 3) + 4 in
   let count = 500 in
-  let ops = round_gen ~weighted prng ~universe ~capacity ~count in
+  let ops = gen prng ~universe ~capacity ~count in
   let fails candidate = Option.is_some (run ~capacity candidate) in
   match run ~capacity ops with
   | None -> Ok count
   | Some d -> Error (Printf.sprintf "%s: %s" label (shrunk_report ~capacity fails ops d))
 
-let fuzz_driver ~name ~label ~weighted ~run ~seed ~ops =
+let fuzz_driver ~name ~label ~gen ~run ~seed ~ops =
   let prng = Prng.create ~seed () in
   let generated = ref 0 in
   let failure = ref None in
   while !failure = None && !generated < ops do
-    match fuzz_round ~label ~weighted ~run prng with
+    match fuzz_round ~label ~gen ~run prng with
     | Ok n -> generated := !generated + n
     | Error detail -> failure := Some detail
   done;
@@ -308,7 +343,7 @@ let fuzz_driver ~name ~label ~weighted ~run ~seed ~ops =
 
 let fuzz_policy ~seed ~ops kind =
   let label = Cache.kind_name kind in
-  fuzz_driver ~name:("ops." ^ label) ~label ~weighted:false
+  fuzz_driver ~name:("ops." ^ label) ~label ~gen:unit_round
     ~run:(fun ~capacity candidate -> diff_ops kind ~capacity candidate)
     ~seed ~ops
 
@@ -316,25 +351,38 @@ let fuzz_policy ~seed ~ops kind =
    vs the model's restatement of it. *)
 let fuzz_policy_weighted ~seed ~ops kind =
   let label = Cache.kind_name kind in
-  fuzz_driver ~name:("wops." ^ label) ~label ~weighted:true
+  fuzz_driver ~name:("wops." ^ label) ~label ~gen:weighted_round
     ~run:(fun ~capacity candidate -> diff_ops kind ~capacity candidate)
     ~seed ~ops
 
 let fuzz_weighted_policy ~seed ~ops wp =
   let label = weighted_policy_name wp in
-  fuzz_driver ~name:("wops." ^ label) ~label ~weighted:true
+  fuzz_driver ~name:("wops." ^ label) ~label ~gen:weighted_round
     ~run:(fun ~capacity candidate -> diff_weighted_ops wp ~capacity candidate)
     ~seed ~ops
+
+(* Young's equivalence: the inflation-form Landlord in lib/baselines
+   against the drain-form reference, on exact weights where the two
+   forms must agree victim for victim. *)
+let young_check ~seed ~ops =
+  let run ~capacity candidate =
+    run_pair ~capacity
+      (driver_of (module Agg_baselines.Landlord) (Agg_baselines.Landlord.create ~capacity))
+      (driver_of (module Model_cache.Landlord) (Model_cache.Landlord.create ~capacity))
+      candidate
+  in
+  fuzz_driver ~name:"young.landlord" ~label:"young" ~gen:young_round ~run ~seed ~ops
 
 let fuzz_all ~seed ~ops =
   List.map (fuzz_policy ~seed ~ops) Cache.all_kinds
   @ List.map (fuzz_policy_weighted ~seed ~ops) Cache.all_kinds
   @ List.map (fuzz_weighted_policy ~seed ~ops) all_weighted_policies
+  @ [ young_check ~seed ~ops ]
 
 let mutant_check ~seed ~ops =
   let name = "mutant.lru-cold-promote" in
   let c =
-    fuzz_driver ~name ~label:"mutant" ~weighted:false
+    fuzz_driver ~name ~label:"mutant" ~gen:unit_round
       ~run:(fun ~capacity candidate -> diff_ops_mutant ~capacity candidate)
       ~seed ~ops
   in

@@ -4,8 +4,8 @@
 
     Two generators feed it: random operation sequences over the full
     {!Agg_cache.Policy.S} surface ([insert ~pos], [promote], [evict],
-    [mem], [clear]) with greedy shrinking to a minimal reproducing op
-    list, and calibrated-workload traces from every
+    [mem], [remove], [clear]) with greedy shrinking to a minimal
+    reproducing op list, and calibrated-workload traces from every
     {!Agg_workload.Profile} replayed end-to-end. Cross-cutting paper
     invariants (metrics conservation, Belady optimality, group size 1 ≡
     plain LRU) are checked on the same traces. All generation is driven
@@ -18,6 +18,7 @@ type op =
   | Charge of int * int  (** key, cost — the demand-hit re-credit hook *)
   | Evict
   | Mem of int
+  | Remove of int
   | Clear
 
 val op_to_string : op -> string
@@ -46,8 +47,10 @@ val diff_ops : Agg_cache.Cache.kind -> capacity:int -> op list -> divergence opt
     throughout. @raise Invalid_argument when [capacity <= 0]. *)
 
 type weighted_policy = Landlord | Gds | Bundle
-(** The weighted baselines of [Agg_baselines], paired with their
-    list-based reference restatements in {!Model_cache}. *)
+(** The weighted baselines of [Agg_baselines], paired with the
+    list-based reference restatement of the same arithmetic form in
+    {!Model_cache}: [Landlord] and [Gds] with {!Model_cache.Gds},
+    [Bundle] with {!Model_cache.Bundle}. *)
 
 val weighted_policy_name : weighted_policy -> string
 val all_weighted_policies : weighted_policy list
@@ -85,8 +88,13 @@ val fuzz_weighted_policy : seed:int -> ops:int -> weighted_policy -> check
 
 val fuzz_all : seed:int -> ops:int -> check list
 (** [fuzz_policy] and [fuzz_policy_weighted] for every kind in
-    {!Agg_cache.Cache.all_kinds}, plus [fuzz_weighted_policy] for every
-    weighted baseline. *)
+    {!Agg_cache.Cache.all_kinds}, [fuzz_weighted_policy] for every
+    weighted baseline, plus [young.landlord]: [Agg_baselines.Landlord]
+    (inflation form) against the drain-form {!Model_cache.Landlord} over
+    inserts, promotes, charges and removes with sizes in
+    [{1, 2, 4, 8, 16}] and costs in [\[1, 9\]]. With those weights every
+    credit and priority is a multiple of 1/16, both forms compute
+    exactly, and Young's equivalence says they evict the same victims. *)
 
 val lru_equivalence_checks : seed:int -> events:int -> check list
 (** Per profile and per weighted baseline: at unit size/cost the policy

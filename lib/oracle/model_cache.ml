@@ -870,14 +870,19 @@ let lfu_entries t =
 
 (* --- weighted reference policies -----------------------------------------
 
-   List-based restatements of the Landlord / GreedyDual-Size / bundle
-   baselines in lib/baselines, implementing the same [Policy.S] so the
-   diff engine can pair each optimized policy with its model through the
-   generic driver. Victim selection is canonical: scan the recency order
-   hot end first and keep the entry with the smallest priority, ties
-   resolved towards the cold end ([<=] while scanning). Both sides
-   perform float arithmetic in the same per-key order, so credits and
-   priorities compare exactly. *)
+   List-based restatements of the rent policies, implementing the same
+   [Policy.S] so the diff engine can pair each optimized policy with its
+   model through the generic driver. Victim selection is canonical: scan
+   the recency order hot end first and keep the entry with the smallest
+   priority, ties resolved towards the cold end ([<=] while scanning).
+
+   [Landlord] is the credit-draining form, the reference for Young's
+   equivalence; [Gds] and [Bundle] are the inflation form that every
+   baseline in lib/baselines runs on. The two forms choose the same
+   victims in exact arithmetic but can order a float rounding tie
+   differently, so each baseline is fuzzed against the model of its own
+   form: both then perform the same float operations in the same per-key
+   order, and priorities compare exactly. *)
 
 module Landlord = struct
   type entry = { lsize : int; mutable lcredit : float }
@@ -973,18 +978,6 @@ module Landlord = struct
   let clear t =
     t.lents <- [];
     t.lused <- 0
-
-  let request_bundle t ~weight_of keys =
-    let members = List.fold_left (fun acc k -> if List.mem k acc then acc else k :: acc) [] keys in
-    List.concat_map
-      (fun k ->
-        if mem t k then begin
-          promote t k;
-          charge t k ~cost:(weight_of k).Policy.cost;
-          []
-        end
-        else insert t ~pos:Policy.Hot ~weight:(weight_of k) k)
-      (List.rev members)
 end
 
 module Gds = struct
@@ -1079,11 +1072,23 @@ module Gds = struct
 end
 
 module Bundle = struct
-  include Landlord
+  include Gds
 
   let policy_name = "bundle"
 
   let insert t ~pos ~weight:w key =
     Policy.check_weight ~who:"model.bundle" w;
     insert t ~pos ~weight:w key
+
+  let request_bundle t ~weight_of keys =
+    let members = List.fold_left (fun acc k -> if List.mem k acc then acc else k :: acc) [] keys in
+    List.concat_map
+      (fun k ->
+        if mem t k then begin
+          promote t k;
+          charge t k ~cost:(weight_of k).Policy.cost;
+          []
+        end
+        else insert t ~pos:Policy.Hot ~weight:(weight_of k) k)
+      (List.rev members)
 end

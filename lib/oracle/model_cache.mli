@@ -14,8 +14,9 @@
     delegates to the model's native insert path; once non-unit sizes are
     resident, room is made by repeated evictions; oversize keys bypass
     the cache. The {!Landlord}, {!Gds} and {!Bundle} submodules are
-    list-based restatements of the weighted baselines in
-    [Agg_baselines]. *)
+    list-based restatements of the rent policies: {!Landlord} in Young's
+    credit-draining form, {!Gds} and {!Bundle} in the inflation form that
+    the weighted baselines in [Agg_baselines] run on. *)
 
 type t
 
@@ -77,21 +78,17 @@ val lfu_entries : t -> (int * int * int) list
     cache's exact [contents] order. @raise Invalid_argument when the model
     is not LFU. *)
 
-(** Reference Landlord (Young's rent-based file caching): each resident
-    holds credit, initially its retrieval cost; eviction charges every
-    resident rent proportional to its size at the minimal credit/size
-    ratio and removes the resident whose credit reaches zero (ties
-    towards the cold end of the recency order). A demand hit re-credits
-    the key via [charge]. *)
-module Landlord : sig
-  include Agg_cache.Policy.S
-
-  val request_bundle : t -> weight_of:(int -> Agg_cache.Policy.weight) -> int list -> int list
-  (** [request_bundle t ~weight_of keys] serves one bundle request:
-      resident members are promoted and re-credited, missing members are
-      inserted hot with their weights. Returns all victims in eviction
-      order. Duplicate members are served once. *)
-end
+(** Reference Landlord (Young's rent-based file caching) in its
+    credit-draining form: each resident holds credit, initially its
+    retrieval cost; eviction charges every resident rent proportional to
+    its size at the minimal credit/size ratio and removes the resident
+    whose credit reaches zero (ties towards the cold end of the recency
+    order). A demand hit re-credits the key via [charge].
+    [Agg_baselines.Landlord] runs the inflation form ({!Gds}); the two
+    agree exactly when every credit and priority is exactly
+    representable, and may order a float rounding tie differently
+    otherwise. *)
+module Landlord : Agg_cache.Policy.S
 
 (** Reference GreedyDual-Size: priority [H = L + cost/size] assigned on
     insertion and on [charge]; the victim is the minimal-[H] resident
@@ -99,13 +96,16 @@ end
     victim's priority. *)
 module Gds : Agg_cache.Policy.S
 
-(** Reference bundle-caching policy — Landlord mechanics with the
-    bundle entry point as the primary interface (Qin & Etesami's
-    file-bundle setting, where an aggregated group fetch arrives as one
-    request). Singleton requests make it coincide with {!Landlord}. *)
+(** Reference bundle-caching policy — {!Gds} (Landlord in inflation
+    form) with the bundle entry point as the primary interface (Qin &
+    Etesami's file-bundle setting, where an aggregated group fetch
+    arrives as one request). *)
 module Bundle : sig
   include Agg_cache.Policy.S
 
   val request_bundle : t -> weight_of:(int -> Agg_cache.Policy.weight) -> int list -> int list
-  (** See {!Landlord.request_bundle}. *)
+  (** [request_bundle t ~weight_of keys] serves one bundle request:
+      resident members are promoted and re-charged, missing members are
+      inserted hot with their weights. Returns all victims in eviction
+      order. Duplicate members are served once. *)
 end

@@ -208,6 +208,38 @@ let test_landlord_unit_is_lru () =
       check_victims "same contents" (Agg_cache.Lru.contents lru) (Landlord.contents ll))
     [ 1; 2; 3; 4; 2; 5; 1; 1; 6; 3; 2 ]
 
+let test_landlord_rounding_tie () =
+  (* The shrunk repro on which Landlord's two float forms first parted.
+     On the last insert (42, size 13) the victims are 8, then 6 and 18,
+     which tie at the exact priority 6365/1001; the tie goes to 6, the
+     colder. The drain form (Model_cache.Landlord, credits drained by
+     float rent) evicts 8, 6, 18. The inflation form (this core, a float
+     floor plus cost/size) rounds 18's priority one ulp below 6's and
+     evicts 8, 18, 6. The cause is rounding alone: the evicted set and
+     the final state are the same. *)
+  let ops =
+    [
+      (Hot, 48, 13, 5); (Cold, 27, 9, 6); (Hot, 14, 12, 1); (Hot, 47, 1, 9); (Cold, 21, 2, 4);
+      (Hot, 24, 14, 6); (Cold, 17, 11, 6); (Hot, 44, 1, 4); (Cold, 8, 6, 8); (Hot, 6, 3, 7);
+      (Hot, 45, 3, 1); (Hot, 18, 2, 4); (Hot, 42, 13, 9);
+    ]
+  in
+  let module Drain = Agg_oracle.Model_cache.Landlord in
+  let drain = Drain.create ~capacity:15 and core = Landlord.create ~capacity:15 in
+  let last = List.length ops - 1 in
+  List.iteri
+    (fun i (pos, key, size, cost) ->
+      let weight = w ~size ~cost in
+      let vd = Drain.insert drain ~pos ~weight key and vc = Landlord.insert core ~pos ~weight key in
+      if i < last then check_victims "same victims before the tie" vd vc
+      else begin
+        check_victims "drain form evicts {6, 8, 18}" [ 6; 8; 18 ] (List.sort compare vd);
+        check_victims "inflation form evicts {6, 8, 18}" [ 6; 8; 18 ] (List.sort compare vc)
+      end)
+    ops;
+  check_victims "same contents" (Drain.contents drain) (Landlord.contents core);
+  check_int "same used" (Drain.used drain) (Landlord.used core)
+
 let test_gds_cost_over_recency_and_inflation () =
   (* H = inflation + cost/size. b is the most recent insert but has the
      lowest H and is evicted first; its H becomes the inflation floor,
@@ -369,6 +401,8 @@ let () =
             test_landlord_charge_overrides_recency;
           Alcotest.test_case "landlord oversize bypass" `Quick test_landlord_oversize_bypass;
           Alcotest.test_case "landlord at unit weights is lru" `Quick test_landlord_unit_is_lru;
+          Alcotest.test_case "landlord forms agree across a rounding tie" `Quick
+            test_landlord_rounding_tie;
           Alcotest.test_case "greedy-dual cost and inflation" `Quick
             test_gds_cost_over_recency_and_inflation;
           Alcotest.test_case "bundle request semantics" `Quick test_bundle_request_semantics;
