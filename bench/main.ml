@@ -576,12 +576,28 @@ let micro_tests () =
 let micro_json_path = "BENCH_micro.json"
 
 (* Per-policy op throughput: the same 20k-event server stream driven
-   through every online policy facade. Wall-clock, so the numbers vary
-   run to run; structure and op counts are deterministic. *)
+   through every online policy facade, the ten built-in kinds and the
+   three rent baselines. Wall-clock, so the numbers vary run to run;
+   structure and op counts are deterministic. *)
 let policy_throughput ~reps files =
+  let capacity = 500 in
+  let rent name (module P : Agg_cache.Policy.S) =
+    (name, fun () -> Agg_cache.Cache.of_policy (module P) (P.create ~capacity))
+  in
+  let caches =
+    List.map
+      (fun kind ->
+        (Agg_cache.Cache.kind_name kind, fun () -> Agg_cache.Cache.create kind ~capacity))
+      Agg_cache.Cache.all_kinds
+    @ [
+        rent "landlord" (module Agg_baselines.Landlord);
+        rent "greedy-dual" (module Agg_baselines.Greedy_dual);
+        rent "bundle" (module Agg_baselines.Bundle);
+      ]
+  in
   List.map
-    (fun kind ->
-      let cache = Agg_cache.Cache.create kind ~capacity:500 in
+    (fun (name, make) ->
+      let cache = make () in
       let ops = reps * Array.length files in
       let seconds =
         timed (fun () ->
@@ -589,8 +605,8 @@ let policy_throughput ~reps files =
               Array.iter (fun f -> ignore (Agg_cache.Cache.access cache f)) files
             done)
       in
-      (Agg_cache.Cache.kind_name kind, ops, seconds))
-    Agg_cache.Cache.all_kinds
+      (name, ops, seconds))
+    caches
 
 let write_micro_json rows =
   let oc = open_out micro_json_path in

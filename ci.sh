@@ -92,15 +92,18 @@ if ! grep -rq 'Agg_util\.Prng' lib/obs; then
 fi
 
 # Arena discipline: the per-access recency paths in lib/cache and
-# lib/successor are flat-array structures (Agg_util.Dlist_arena /
-# Agg_util.Int_table); a Hashtbl creeping back in would reintroduce
-# per-access hashing and allocation. Sanctioned exceptions, none of them
-# on the recency hot path:
+# lib/successor, and the rent core in lib/baselines, are flat-array
+# structures (Agg_util.Dlist_arena / Agg_util.Int_table, the rent core's
+# heap arrays); a Hashtbl creeping back in would reintroduce per-access
+# hashing and allocation. The predictor modules in lib/baselines keep
+# theirs and are not scanned. Sanctioned exceptions, none of them on the
+# recency hot path:
 #   lib/cache/belady.ml                     offline oracle policy
 #   lib/successor/successor_list.ml         Frequency-policy count tables
 #   lib/successor/tracker.ml                Frequency-policy fallback lists
 #   lib/successor/{graph,grouping,oracle}.* offline baselines and oracles
-hot_hashtbl=$(grep -rl 'Hashtbl' lib/cache lib/successor 2>/dev/null \
+hot_hashtbl=$(grep -rl 'Hashtbl' lib/cache lib/successor \
+  lib/baselines/greedy_dual.ml lib/baselines/landlord.ml lib/baselines/bundle.ml 2>/dev/null \
   | grep -vE 'lib/cache/belady\.ml$' \
   | grep -vE 'lib/successor/(tracker|successor_list|graph|grouping|oracle)\.(ml|mli)$' \
   || true)

@@ -8,6 +8,11 @@
     resolved towards the least recently used, which makes the policy
     access-for-access identical to LRU at unit size/cost.
 
+    Residents sit in an indexed binary min-heap keyed by [(H, recency
+    stamp)], so {!val-promote}, {!val-charge}, {!val-insert} (per
+    victim), {!val-remove} and {!val-evict} cost O(log n). {!val-contents}
+    sorts by stamp, O(n log n); only tests and the oracle call it.
+
     This is the one rent core: {!Landlord} and {!Bundle} run on it. It
     equals Landlord's credit-draining form in exact arithmetic and
     differs from it only on float rounding ties.

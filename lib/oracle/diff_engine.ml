@@ -59,7 +59,8 @@ let gen_weighted_ops prng ~universe ~max_size ~max_cost ~count =
       | 7 | 8 | 9 -> Promote (key ())
       | 10 | 11 -> Charge (key (), 1 + Prng.int prng max_cost)
       | 12 -> Evict
-      | 13 | 14 -> Mem (key ())
+      | 13 -> Mem (key ())
+      | 14 -> Remove (key ())
       | _ -> Clear)
 
 (* Power-of-two sizes up to 16 and integer costs make every credit/size

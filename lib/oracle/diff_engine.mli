@@ -33,7 +33,8 @@ val gen_ops : Agg_util.Prng.t -> universe:int -> count:int -> op list
 val gen_weighted_ops :
   Agg_util.Prng.t -> universe:int -> max_size:int -> max_cost:int -> count:int -> op list
 (** Like {!gen_ops} but inserts carry sizes in [\[1, max_size\]] and
-    costs in [\[1, max_cost\]], and the mix includes [Charge] ops.
+    costs in [\[1, max_cost\]], and the mix includes [Charge] and
+    [Remove] ops.
     @raise Invalid_argument when [universe], [max_size] or [max_cost] is
     non-positive. *)
 

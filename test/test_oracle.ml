@@ -220,6 +220,74 @@ let exact_lockstep_properties =
         Agg_cache.Lfu.frequency real key = count);
   ]
 
+(* --- qcheck: exact order of the rent core ------------------------------- *)
+
+(* The rent core keeps its residents in a heap keyed by (priority, recency
+   stamp), so its victims and its [contents] order must still be exactly
+   those of the list-scanning inflation model. Sizes {1, 2, 4} and costs
+   {1, 2} make every priority a small dyadic fraction, so exact priority
+   ties are common and the recency tie-break decides most evictions; hot
+   and cold re-inserts of residents, removals from the middle of the heap
+   and clears all reorder it. After every operation the results, size,
+   used total and full recency order must agree. *)
+let rent_op_gen =
+  let open QCheck.Gen in
+  let key = int_bound 11 in
+  let weight = map2 (fun size cost -> { Policy.size; cost }) (oneofl [ 1; 2; 4 ]) (oneofl [ 1; 2 ]) in
+  frequency
+    [
+      (5, map2 (fun w k -> Diff_engine.Insert (Policy.Hot, w, k)) weight key);
+      (3, map2 (fun w k -> Diff_engine.Insert (Policy.Cold, w, k)) weight key);
+      (3, map (fun k -> Diff_engine.Promote k) key);
+      (3, map2 (fun k cost -> Diff_engine.Charge (k, cost)) key (oneofl [ 1; 2 ]));
+      (2, map (fun k -> Diff_engine.Remove k) key);
+      (2, return Diff_engine.Evict);
+      (1, return Diff_engine.Clear);
+    ]
+
+let apply_op (type a) (module P : Policy.S with type t = a) (state : a) = function
+  | Diff_engine.Insert (pos, weight, key) -> P.insert state ~pos ~weight key
+  | Diff_engine.Promote key ->
+      P.promote state key;
+      []
+  | Diff_engine.Charge (key, cost) ->
+      P.charge state key ~cost;
+      []
+  | Diff_engine.Evict -> Option.to_list (P.evict state)
+  | Diff_engine.Mem key -> if P.mem state key then [ key ] else []
+  | Diff_engine.Remove key ->
+      P.remove state key;
+      []
+  | Diff_engine.Clear ->
+      P.clear state;
+      []
+
+let rent_lockstep (type c) (module P : Policy.S with type t = c) =
+  QCheck.Test.make
+    ~name:(P.policy_name ^ " matches the inflation model's exact order")
+    ~count:300
+    (QCheck.make
+       ~print:(fun (capacity, ops) ->
+         Printf.sprintf "capacity=%d; %s" capacity (Diff_engine.ops_to_string ops))
+       ~shrink:QCheck.Shrink.(pair int (list ~shrink:nil))
+       QCheck.Gen.(pair (int_range 1 10) (list_size (int_bound 200) rent_op_gen)))
+    (fun (capacity, ops) ->
+      let real = P.create ~capacity and model = Model_cache.Gds.create ~capacity in
+      List.for_all
+        (fun op ->
+          apply_op (module P) real op = apply_op (module Model_cache.Gds) model op
+          && P.size real = Model_cache.Gds.size model
+          && P.used real = Model_cache.Gds.used model
+          && P.contents real = Model_cache.Gds.contents model)
+        ops)
+
+let rent_lockstep_properties =
+  [
+    rent_lockstep (module Agg_baselines.Greedy_dual);
+    rent_lockstep (module Agg_baselines.Landlord);
+    rent_lockstep (module Agg_baselines.Bundle);
+  ]
+
 (* --- qcheck: successor models ----------------------------------------- *)
 
 let successor_property policy pname =
@@ -316,7 +384,7 @@ let test_lru_equivalence () =
   check_all_pass (Diff_engine.lru_equivalence_checks ~seed:31 ~events:1_500)
 
 let qcheck_tests =
-  agreement_properties @ exact_lockstep_properties
+  agreement_properties @ exact_lockstep_properties @ rent_lockstep_properties
   @ [
       successor_property Successor_list.Recency "recency";
       successor_property Successor_list.Frequency "frequency";
