@@ -267,6 +267,7 @@ let differential_cmd =
       @ [ Agg_oracle.Diff_engine.mutant_check ~seed ~ops ]
       @ Agg_oracle.Diff_engine.lru_equivalence_checks ~seed ~events
       @ Agg_oracle.Diff_engine.successor_checks ~seed ~events
+      @ Agg_oracle.Diff_engine.group_checks ~seed ~ops
       @ Agg_oracle.Diff_engine.trace_checks ~seed ~events
     in
     (* Full-report invariance under --jobs: the sweep engine must produce

@@ -113,6 +113,17 @@ if [ -n "$hot_hashtbl" ]; then
   exit 1
 fi
 
+# Allocation-free replay: the hot drivers build retrieval groups with
+# Group_builder.fill into buffers they own and record latencies in
+# Agg_util.Latencies (selection, not a sort). The list wrapper
+# Group_builder.build or an Array.sort compare over boxed floats would
+# bring the per-access allocation back (DESIGN.md §10); the allocation
+# ceilings in test/test_system.ml measure it.
+if grep -nE 'Group_builder\.build|Array\.sort compare' lib/system/path.ml lib/cluster/cluster.ml; then
+  echo "ci.sh: Path/Cluster must use Group_builder.fill and Agg_util.Latencies (see matches above)" >&2
+  exit 1
+fi
+
 if [ "${1:-}" = "--fast" ]; then
   dune build @all
   dune build @runtest-fast

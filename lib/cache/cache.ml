@@ -183,37 +183,39 @@ let insert_cold t key =
     t.evictions <- t.evictions + List.length evicted
   end
 
-let insert_cold_group t keys =
+let rec mem_slice buf ~pos ~len k i = i < len && (buf.(pos + i) = k || mem_slice buf ~pos ~len k (i + 1))
+
+let insert_cold_slice t buf ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Array.length buf then
+    invalid_arg "Cache.insert_cold_slice: slice out of bounds";
   let (Packed ((module P), state)) = t.packed in
   (* Distinct, non-resident members only, admitted while their cumulative
      size fits in [capacity - 1], so the block cannot fill the whole cache
      and displace the demanded file at the hot end. At unit weights this
-     is the historical "at most capacity - 1 members" cap. Groups are a
-     handful of keys (g ≤ 10 in every experiment), so a linear membership
-     scan beats allocating a scratch table per call. *)
-  let fresh =
-    List.filter
-      (fun k -> not (P.mem state k))
-      (List.fold_left
-         (fun acc k -> if List.mem k acc then acc else k :: acc)
-         [] keys
-      |> List.rev)
-  in
-  let admitted =
-    let budget = ref (P.capacity state - 1) in
-    List.filter
-      (fun k ->
-        let s = (weight_for t k).Policy.size in
-        if s <= !budget then begin
-          budget := !budget - s;
-          true
-        end
-        else false)
-      fresh
-  in
-  let total =
-    List.fold_left (fun acc k -> acc + (weight_for t k).Policy.size) 0 admitted
-  in
+     is the historical "at most capacity - 1 members" cap. Both filters
+     compact the slice in place, keeping order; groups are a handful of
+     keys (g <= 10 in every experiment), so a linear scan of the kept
+     prefix replaces a temporary table. *)
+  let fresh = ref 0 in
+  for i = pos to pos + len - 1 do
+    let k = buf.(i) in
+    if not (P.mem state k || mem_slice buf ~pos ~len:!fresh k 0) then begin
+      buf.(pos + !fresh) <- k;
+      incr fresh
+    end
+  done;
+  let admitted = ref 0 and budget = ref (P.capacity state - 1) in
+  for i = pos to pos + !fresh - 1 do
+    let k = buf.(i) in
+    let s = (weight_for t k).Policy.size in
+    if s <= !budget then begin
+      budget := !budget - s;
+      buf.(pos + !admitted) <- k;
+      incr admitted
+    end
+  done;
+  let n = !admitted in
+  let total = P.capacity state - 1 - !budget in
   (* Room for the whole block is made first, so members never evict one
      another — the semantics of a group arriving in one retrieval. *)
   let evicted = ref 0 in
@@ -226,17 +228,21 @@ let insert_cold_group t keys =
        | None -> raise Exit
      done
    with Exit -> ());
-  List.iter
-    (fun k ->
-      let w = weight_for t k in
-      t.cost_prefetched <- t.cost_prefetched + w.Policy.cost;
-      notify_evicted t (P.insert state ~pos:Policy.Cold ~weight:w k))
-    admitted;
-  let n = List.length admitted in
+  for i = pos to pos + n - 1 do
+    let k = buf.(i) in
+    let w = weight_for t k in
+    t.cost_prefetched <- t.cost_prefetched + w.Policy.cost;
+    notify_evicted t (P.insert state ~pos:Policy.Cold ~weight:w k)
+  done;
   t.insertions <- t.insertions + n;
   t.speculative_insertions <- t.speculative_insertions + n;
   t.evictions <- t.evictions + !evicted;
-  admitted
+  n
+
+let insert_cold_group t keys =
+  let buf = Array.of_list keys in
+  let n = insert_cold_slice t buf ~pos:0 ~len:(Array.length buf) in
+  List.init n (Array.get buf)
 
 let insert_hot t key =
   let resident = mem t key in

@@ -86,7 +86,17 @@ val insert_cold_group : t -> int list -> int list
     arriving in one retrieval (paper §3). Members are admitted while their
     cumulative size fits in [capacity - 1] (at unit weights: at most
     [capacity - 1] members), so a just-demanded file is never displaced by
-    its own group. Returns the members actually inserted. *)
+    its own group. Returns the members actually inserted. A list wrapper
+    over {!insert_cold_slice}. *)
+
+val insert_cold_slice : t -> int array -> pos:int -> len:int -> int
+(** [insert_cold_slice t buf ~pos ~len] is {!insert_cold_group} on the
+    keys [buf.(pos) .. buf.(pos + len - 1)], for callers that keep their
+    group in a reusable buffer. The admitted members are written back in
+    place, in order, to [buf.(pos) .. buf.(pos + n - 1)], and [n] is
+    returned; the rest of the slice is left unspecified. Allocates
+    nothing beyond what the policy's own insertions and evictions do.
+    @raise Invalid_argument when the slice is outside [buf]. *)
 
 val insert_hot : t -> int -> unit
 (** Inserts or promotes [key] at the hot end without counting an access. *)

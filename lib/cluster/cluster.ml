@@ -108,7 +108,9 @@ type state = {
   mutable pending_churn : (int * churn_op) list;  (** sorted by time *)
   mutable retired : (int * int) list;  (** departed nodes' request counts *)
   counters : Counters.t;
-  latencies : float Agg_util.Vec.t;
+  latencies : Agg_util.Latencies.t;
+  group : int array;  (** the client's retrieval group, built in place *)
+  staged : int array;  (** the serving node's own readahead group *)
   mutable server_requests : int;
   mutable server_hits : int;
   mutable store_fetches : int;
@@ -172,6 +174,9 @@ let make_client_tracker metadata_config =
   Tracker.create ~capacity:metadata_config.Agg_core.Config.successor_capacity
     ~policy:metadata_config.Agg_core.Config.metadata_policy ()
 
+let group_size scheme =
+  match Scheme.group_config scheme with Some c -> c.Agg_core.Config.group_size | None -> 1
+
 let make_state config =
   validate config;
   let metadata_config =
@@ -198,7 +203,9 @@ let make_state config =
     pending_churn = List.stable_sort (fun (a, _) (b, _) -> compare a b) config.churn;
     retired = [];
     counters = Counters.create ();
-    latencies = Agg_util.Vec.create ();
+    latencies = Agg_util.Latencies.create ();
+    group = Array.make (group_size config.client_scheme) 0;
+    staged = Array.make (group_size config.node_scheme) 0;
     server_requests = 0;
     server_hits = 0;
     store_fetches = 0;
@@ -303,21 +310,22 @@ let invalidate_others st ~writer file =
 (* The resilience loop (see Path.attempt_fetch) with one extension:
    attempt [a] targets group member [a mod k], so exhausting one node's
    retry fails over to the next replica instead of re-asking the dead one.
-   At k = 1 every attempt re-asks the primary. *)
-let rec attempt_route st ~group_nodes ~time ~attempt ~waited ~file =
+   At k = 1 every attempt re-asks the primary. Returns the number of
+   failed attempts, as Path.attempt_fetch does: at most [max_retries]
+   means attempt [failures] was served by member [failures mod k]. *)
+let rec attempt_route st ~group_nodes ~time ~attempt ~file =
   let r = st.config.resilience in
   let len = List.length group_nodes in
   let target = List.nth group_nodes (attempt mod len) in
   let plan = (node_state st target).plan in
   let down = Plan.server_down plan ~time in
-  if not (down || Plan.message_lost plan ~time ~attempt) then `Served (target, attempt, waited)
+  if not (down || Plan.message_lost plan ~time ~attempt) then attempt
   else begin
     if down then st.counters.Counters.outage_denials <- st.counters.Counters.outage_denials + 1
     else st.counters.Counters.lost_messages <- st.counters.Counters.lost_messages + 1;
     st.counters.Counters.timeouts <- st.counters.Counters.timeouts + 1;
     if Sink.enabled (Agg_obs.Scope.sink st.config.scope) then
       Sink.emit (Agg_obs.Scope.sink st.config.scope) (Agg_obs.Event.Fetch_timeout { file; attempt });
-    let waited = waited +. Resilience.failure_cost_ms r ~attempt in
     if attempt < r.Resilience.max_retries then begin
       st.counters.Counters.retries <- st.counters.Counters.retries + 1;
       let next = List.nth group_nodes ((attempt + 1) mod len) in
@@ -327,9 +335,9 @@ let rec attempt_route st ~group_nodes ~time ~attempt ~waited ~file =
           Sink.emit (Agg_obs.Scope.sink st.config.scope)
             (Agg_obs.Event.Replica_failover { file; failed = target; target = next })
       end;
-      attempt_route st ~group_nodes ~time ~attempt:(attempt + 1) ~waited ~file
+      attempt_route st ~group_nodes ~time ~attempt:(attempt + 1) ~file
     end
-    else `Degraded waited
+    else attempt + 1
   end
 
 (* Reconstruct the routing phases of a finished [attempt_route] loop for
@@ -368,21 +376,13 @@ let serve st ~client ~time ~tracing file =
   | Replicated_with_group ->
       List.iter (fun n -> Tracker.observe (node_state st n).tracker ~client file) group_nodes
   | Client_side -> Tracker.observe cs.tracker file);
-  let outcome =
-    if not (Plan.enabled st.base_plan) then `Served (primary, 0, 0.0)
-    else attempt_route st ~group_nodes ~time ~attempt:0 ~waited:0.0 ~file
+  let failures =
+    if not (Plan.enabled st.base_plan) then 0 else attempt_route st ~group_nodes ~time ~attempt:0 ~file
   in
-  (match tracing with
-  | Some ctx ->
-      let failures =
-        match outcome with
-        | `Served (_, a, _) -> a
-        | `Degraded _ -> st.config.resilience.Resilience.max_retries + 1
-      in
-      push_route_phases ctx st ~group_nodes ~failures
-  | None -> ());
-  match outcome with
-  | `Degraded waited ->
+  (match tracing with Some ctx -> push_route_phases ctx st ~group_nodes ~failures | None -> ());
+  let waited = Resilience.waited_ms st.config.resilience ~failures in
+  match failures with
+  | failures when failures > st.config.resilience.Resilience.max_retries ->
       (* Retry budget dry across the whole group: degraded single-file
          fallback through the primary. *)
       st.counters.Counters.degraded_fetches <- st.counters.Counters.degraded_fetches + 1;
@@ -409,7 +409,8 @@ let serve st ~client ~time ~tracing file =
             ~dur_ms:fallback
       | None -> ());
       waited +. fallback
-  | `Served (node, attempt, waited) ->
+  | attempt ->
+      let node = List.nth group_nodes (attempt mod List.length group_nodes) in
       let ns = node_state st node in
       st.routed_fetches <- st.routed_fetches + 1;
       ns.requests <- ns.requests + 1;
@@ -426,12 +427,12 @@ let serve st ~client ~time ~tracing file =
         | Owner_node | Replicated_with_group -> ns.tracker
         | Client_side -> cs.tracker
       in
-      let group =
+      let n =
         match Scheme.group_config st.config.client_scheme with
         | Some c ->
-            Agg_core.Group_builder.build source_tracker ~group_size:c.Agg_core.Config.group_size
-              file
-        | None -> [ file ]
+            Agg_core.Group_builder.fill source_tracker ~group_size:c.Agg_core.Config.group_size
+              file st.group
+        | None -> 1
       in
       let served_from_memory = Cache.access ns.cache file in
       if served_from_memory then st.server_hits <- st.server_hits + 1
@@ -442,32 +443,31 @@ let serve st ~client ~time ~tracing file =
         match Scheme.group_config st.config.node_scheme with
         | Some c ->
             let staged =
-              Agg_core.Group_builder.build ns.tracker ~group_size:c.Agg_core.Config.group_size file
+              Agg_core.Group_builder.fill ns.tracker ~group_size:c.Agg_core.Config.group_size file
+                st.staged
             in
-            let members = match staged with _ :: rest -> rest | [] -> [] in
-            List.iter
-              (fun m -> if not (Cache.mem ns.cache m) then st.store_fetches <- st.store_fetches + 1)
-              members;
-            ignore (Cache.insert_cold_group ns.cache members)
+            for i = 1 to staged - 1 do
+              if not (Cache.mem ns.cache st.staged.(i)) then st.store_fetches <- st.store_fetches + 1
+            done;
+            ignore (Cache.insert_cold_slice ns.cache st.staged ~pos:1 ~len:(staged - 1))
         | None -> ()
       end;
       (* members travel to the client; ones this node does not replicate
          come straight off the store and are never staged here *)
-      let members = match group with _ :: rest -> rest | [] -> [] in
-      List.iter
-        (fun m ->
-          if List.mem node (Ring.group st.ring ~replicas:k m) then begin
-            if not (Cache.mem ns.cache m) then begin
-              st.store_fetches <- st.store_fetches + 1;
-              Cache.insert_cold ns.cache m
-            end
+      for i = 1 to n - 1 do
+        let m = st.group.(i) in
+        if List.mem node (Ring.group st.ring ~replicas:k m) then begin
+          if not (Cache.mem ns.cache m) then begin
+            st.store_fetches <- st.store_fetches + 1;
+            Cache.insert_cold ns.cache m
           end
-          else begin
-            st.cross_shard_members <- st.cross_shard_members + 1;
-            st.store_fetches <- st.store_fetches + 1
-          end)
-        members;
-      ignore (Cache.insert_cold_group cs.cache members);
+        end
+        else begin
+          st.cross_shard_members <- st.cross_shard_members + 1;
+          st.store_fetches <- st.store_fetches + 1
+        end
+      done;
+      ignore (Cache.insert_cold_slice cs.cache st.group ~pos:1 ~len:(n - 1));
       let base =
         Cost_model.demand_fetch_latency st.config.cost ~served_from_disk:(not served_from_memory)
       in
@@ -536,16 +536,9 @@ let access st (e : Agg_trace.Event.t) =
       Agg_obs.Series.observe_latency s ~index:time
         ~us:(int_of_float ((latency *. 1000.0) +. 0.5))
   | None -> ());
-  Agg_util.Vec.push st.latencies latency;
+  Agg_util.Latencies.push st.latencies latency;
   if st.config.write_invalidation && Agg_trace.Event.is_write e then
     invalidate_others st ~writer:client file
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else
-    let idx = int_of_float (Float.of_int (n - 1) *. p) in
-    sorted.(idx)
 
 let per_node_requests st =
   let all = List.rev_append st.retired (List.map (fun ns -> (ns.node_id, ns.requests)) st.node_states) in
@@ -562,10 +555,6 @@ let run config trace =
   Agg_trace.Trace.iter (access st) trace;
   let accesses = Array.fold_left (fun acc cs -> acc + cs.accesses) 0 st.client_states in
   let client_hits = Array.fold_left (fun acc cs -> acc + cs.hits) 0 st.client_states in
-  let latencies = Agg_util.Vec.to_array st.latencies in
-  let total = Array.fold_left ( +. ) 0.0 latencies in
-  let sorted = Array.copy latencies in
-  Array.sort compare sorted;
   {
     accesses;
     client_hits;
@@ -582,9 +571,8 @@ let run config trace =
     slowed_fetches = st.slowed_fetches;
     rebalances = st.rebalances;
     moved_files = st.moved_files;
-    mean_latency =
-      (if Array.length latencies = 0 then 0.0 else total /. float_of_int (Array.length latencies));
-    p95_latency = percentile sorted 0.95;
+    mean_latency = Agg_util.Latencies.mean st.latencies;
+    p95_latency = Agg_util.Latencies.percentile st.latencies 0.95;
     per_node_requests = per_node_requests st;
     faults = st.counters;
   }

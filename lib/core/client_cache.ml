@@ -8,6 +8,7 @@ type t = {
   config : Config.t;
   obs : Sink.t;
   mutable group_size : int;
+  mutable group : int array; (* the retrieval-group buffer, length >= group_size *)
   cache : Cache.t;
   tracker : Tracker.t;
   speculative : Int_table.t; (* prefetched residents not yet demanded *)
@@ -38,6 +39,7 @@ let create ?(config = Config.default) ?(obs = Sink.noop) ?weight_of ~capacity ()
       config;
       obs;
       group_size = config.group_size;
+      group = Array.make config.group_size 0;
       cache = Cache.create ?weight_of config.cache_kind ~capacity;
       tracker =
         Tracker.create ~capacity:config.successor_capacity ~policy:config.metadata_policy ();
@@ -61,7 +63,8 @@ let group_size t = t.group_size
 
 let set_group_size t g =
   if g <= 0 then invalid_arg "Client_cache.set_group_size: group size must be positive";
-  t.group_size <- g
+  t.group_size <- g;
+  if Array.length t.group < g then t.group <- Array.make g 0
 
 let mark_speculative t file =
   t.prefetch_issued <- t.prefetch_issued + 1;
@@ -71,20 +74,23 @@ let mark_speculative t file =
     Sink.emit t.obs (Event.Prefetch_issued { file })
   end
 
-let insert_members t members =
+(* The group's members are [t.group.(1) .. t.group.(n - 1)]. *)
+let insert_members t n =
   match t.config.member_position with
   | Config.Tail ->
       (* The whole group arrives in one retrieval: appended as a block. *)
-      let admitted = Cache.insert_cold_group t.cache members in
-      List.iter (mark_speculative t) admitted
+      let admitted = Cache.insert_cold_slice t.cache t.group ~pos:1 ~len:(n - 1) in
+      for i = 1 to admitted do
+        mark_speculative t t.group.(i)
+      done
   | Config.Head ->
-      List.iter
-        (fun file ->
-          if not (Cache.mem t.cache file) then begin
-            Cache.insert_hot t.cache file;
-            mark_speculative t file
-          end)
-        members
+      for i = 1 to n - 1 do
+        let file = t.group.(i) in
+        if not (Cache.mem t.cache file) then begin
+          Cache.insert_hot t.cache file;
+          mark_speculative t file
+        end
+      done
 
 let access t file =
   (* Metadata first: the tracker sees the raw request sequence. *)
@@ -123,9 +129,7 @@ let access t file =
     end;
     t.demand_fetches <- t.demand_fetches + 1;
     if Sink.enabled t.obs then Int_table.set t.inserted_at file t.accesses;
-    (match Group_builder.build ~obs:t.obs t.tracker ~group_size:t.group_size file with
-    | _requested :: members -> insert_members t members
-    | [] -> assert false (* build always returns the requested file *));
+    insert_members t (Group_builder.fill ~obs:t.obs t.tracker ~group_size:t.group_size file t.group);
     false
   end
 

@@ -13,6 +13,7 @@ type t = {
   client : Cache.t;
   server : Cache.t;
   tracker : Tracker.t option; (* present only for the aggregating scheme *)
+  group : int array; (* the retrieval-group buffer (aggregating scheme) *)
   speculative : Int_table.t;
   inserted_at : Int_table.t; (* instrumentation only: request count at insertion *)
   mutable last_observed : int; (* instrumentation only: predecessor file, -1 at start *)
@@ -54,6 +55,7 @@ let create ?(cooperative = false) ?(obs = Sink.noop) ~filter_kind ~filter_capaci
       client = Cache.create filter_kind ~capacity:filter_capacity;
       server = Cache.create server_kind ~capacity:server_capacity;
       tracker;
+      group = (match scheme with Aggregating c -> Array.make c.Config.group_size 0 | Plain _ -> [||]);
       speculative = Int_table.create ~capacity:64 ();
       inserted_at = Int_table.create ~capacity:64 ();
       last_observed = -1;
@@ -87,19 +89,22 @@ let mark_speculative t file =
     Sink.emit t.obs (Event.Prefetch_issued { file })
   end
 
-let insert_members t config members =
+(* The group's members are [t.group.(1) .. t.group.(n - 1)]. *)
+let insert_members t config n =
   match config.Config.member_position with
   | Config.Tail ->
-      let admitted = Cache.insert_cold_group t.server members in
-      List.iter (mark_speculative t) admitted
+      let admitted = Cache.insert_cold_slice t.server t.group ~pos:1 ~len:(n - 1) in
+      for i = 1 to admitted do
+        mark_speculative t t.group.(i)
+      done
   | Config.Head ->
-      List.iter
-        (fun file ->
-          if not (Cache.mem t.server file) then begin
-            Cache.insert_hot t.server file;
-            mark_speculative t file
-          end)
-        members
+      for i = 1 to n - 1 do
+        let file = t.group.(i) in
+        if not (Cache.mem t.server file) then begin
+          Cache.insert_hot t.server file;
+          mark_speculative t file
+        end
+      done
 
 let serve t file =
   t.server_requests <- t.server_requests + 1;
@@ -138,10 +143,9 @@ let serve t file =
     t.store_fetches <- t.store_fetches + 1;
     if Sink.enabled t.obs then Int_table.set t.inserted_at file t.server_requests;
     (match (t.scheme, t.tracker) with
-    | Aggregating config, Some tracker -> (
-        match Group_builder.build ~obs:t.obs tracker ~group_size:config.group_size file with
-        | _requested :: members -> insert_members t config members
-        | [] -> assert false)
+    | Aggregating config, Some tracker ->
+        insert_members t config
+          (Group_builder.fill ~obs:t.obs tracker ~group_size:config.group_size file t.group)
     | Plain _, _ -> ()
     | Aggregating _, None -> assert false);
     Server_miss

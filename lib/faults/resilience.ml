@@ -29,6 +29,12 @@ let failure_cost_ms t ~attempt =
   if attempt < t.max_retries then t.timeout_ms +. backoff_ms t ~attempt:(attempt + 1)
   else t.timeout_ms
 
+let rec waited_from t ~failures ~attempt acc =
+  if attempt >= failures then acc
+  else waited_from t ~failures ~attempt:(attempt + 1) (acc +. failure_cost_ms t ~attempt)
+
+let waited_ms t ~failures = waited_from t ~failures ~attempt:0 0.0
+
 let pp ppf t =
   Format.fprintf ppf "timeout=%.1fms retries=%d backoff=%.1fms x%.1f" t.timeout_ms t.max_retries
     t.backoff_base_ms t.backoff_multiplier

@@ -34,4 +34,10 @@ val failure_cost_ms : t -> attempt:int -> float
     timeout: the timeout budget itself, plus the backoff delay before the
     next attempt when one remains. *)
 
+val waited_ms : t -> failures:int -> float
+(** Total time lost to the first [failures] attempts (0-based, all ending
+    in a timeout): {!failure_cost_ms} summed in attempt order from [0.],
+    so a retry loop need only count its failures. [0.] when
+    [failures <= 0]. *)
+
 val pp : Format.formatter -> t -> unit

@@ -572,6 +572,92 @@ let successor_checks ~seed ~events =
       scheme_checks @ [ oracle ])
     Profile.all
 
+(* --- group-construction differential ------------------------------------- *)
+
+let max_group = 12
+
+(* One tracker fed [files]; after every observation the groups of the
+   file just seen and of an older anchor are built by Group_builder.fill
+   at every g in [1, max_group] and compared with Model_group. For
+   g >= 4 each group must also be a prefix of the [max_group] one — the
+   invariant Path's single shared build rests on. *)
+let group_diff ~policy ~capacity files =
+  let tracker = Agg_successor.Tracker.create ~capacity ~policy () in
+  let buf = Array.make max_group (-1) in
+  let fill g anchor =
+    let n = Agg_core.Group_builder.fill tracker ~group_size:g anchor buf in
+    Array.to_list (Array.sub buf 0 n)
+  in
+  let rec is_prefix a b =
+    match (a, b) with
+    | [], _ -> true
+    | x :: a', y :: b' -> x = y && is_prefix a' b'
+    | _ :: _, [] -> false
+  in
+  let divergence = ref None in
+  let cases = ref 0 in
+  Array.iteri
+    (fun i file ->
+      if !divergence = None then begin
+        Agg_successor.Tracker.observe tracker file;
+        List.iter
+          (fun anchor ->
+            let deepest = fill max_group anchor in
+            for g = 1 to max_group do
+              if !divergence = None then begin
+                incr cases;
+                let got = fill g anchor in
+                let want = Model_group.of_tracker tracker ~group_size:g anchor in
+                if got <> want then
+                  divergence :=
+                    Some
+                      (Printf.sprintf "event %d: g=%d anchor %d: fill [%s] vs model [%s]" i g anchor
+                         (int_list_to_string got) (int_list_to_string want))
+                else if g >= 4 && not (is_prefix got deepest) then
+                  divergence :=
+                    Some
+                      (Printf.sprintf "event %d: g=%d anchor %d: [%s] not a prefix of g=%d [%s]" i g
+                         anchor (int_list_to_string got) max_group (int_list_to_string deepest))
+              end
+            done)
+          [ file; files.(i / 2) ]
+      end)
+    files;
+  (!cases, !divergence)
+
+(* Streams that mix sequential runs (long successor chains) with random
+   jumps (stalls, cycles and fallbacks) over a small universe. *)
+let gen_group_stream prng ~count =
+  let universe = 4 + Prng.int prng 28 in
+  let files = Array.make count 0 in
+  for i = 1 to count - 1 do
+    files.(i) <-
+      (if Prng.bernoulli prng ~p:0.6 then (files.(i - 1) + 1) mod universe else Prng.int prng universe)
+  done;
+  files
+
+let group_checks ~seed ~ops =
+  let events = max 1 (ops / 4) in
+  List.concat_map
+    (fun (policy, pname) ->
+      List.map
+        (fun capacity ->
+          let name = Printf.sprintf "group.%s.c%d" pname capacity in
+          let prng = Prng.derive (Prng.create ~seed ()) capacity in
+          let generated = ref 0 and cases = ref 0 and failure = ref None in
+          while !failure = None && !generated < events do
+            let files = gen_group_stream prng ~count:200 in
+            generated := !generated + Array.length files;
+            let n, divergence = group_diff ~policy ~capacity files in
+            cases := !cases + n;
+            failure := divergence
+          done;
+          match !failure with
+          | None -> ok name !cases
+          | Some detail -> fail name !cases (Printf.sprintf "seed=%d %s" seed detail))
+        [ 1; 2; 4; 8 ])
+    [ (Successor_list.Recency, "recency"); (Successor_list.Frequency, "frequency") ]
+
 (* --- calibrated-trace differentials -------------------------------------- *)
 
 (* Replays a profile trace through the stats-keeping Cache and the model:

@@ -107,6 +107,22 @@ val mutant_check : seed:int -> ops:int -> check
 (** Passes iff the engine {e catches} the seeded LRU mutant; the detail
     shows the shrunk counterexample it found. *)
 
+val group_diff :
+  policy:Agg_successor.Successor_list.policy -> capacity:int -> int array -> int * string option
+(** [group_diff ~policy ~capacity files] feeds [files] to one
+    {!Agg_successor.Tracker} and, after every observation, compares
+    {!Agg_core.Group_builder.fill} with {!Model_group} at every group size
+    in [\[1, 12\]] for the file just seen and for an older anchor; for
+    [g >= 4] it also checks the prefix invariant (the group at [g] is a
+    prefix of the group at 12). Returns the number of groups compared
+    and the first divergence, if any. *)
+
+val group_checks : seed:int -> ops:int -> check list
+(** Per metadata policy ([Recency], [Frequency]) and successor capacity
+    (1, 2, 4, 8): {!group_diff} over generated streams mixing sequential
+    runs and random jumps on small universes, at least [ops / 4] events
+    each. *)
+
 val successor_checks : seed:int -> events:int -> check list
 (** Per profile: every successor-list scheme (recency, frequency, at
     several capacities) and the perfect oracle, driven over the profile's

@@ -37,8 +37,16 @@ end
 
 (* --- reference group builder --------------------------------------------
 
-   Restates Agg_core.Group_builder: immediate successors for small groups,
-   transitive most-likely chaining with fallback for large ones. *)
+   The list-based group model (Model_group) over the reference tracker. *)
+
+let build_group tracker ~group_size file =
+  Model_group.build ~successors:(Tracker.successors tracker) ~group_size file
+
+(* --- reference block insertion ------------------------------------------
+
+   Restates Cache.insert_cold_group: distinct non-resident members only,
+   capped at capacity - 1, room made for the whole block before any member
+   is appended. Returns the members actually inserted. *)
 
 let take n list =
   let rec loop n acc = function
@@ -47,56 +55,6 @@ let take n list =
     | x :: rest -> loop (n - 1) (x :: acc) rest
   in
   loop n [] list
-
-let build_group tracker ~group_size file =
-  if group_size <= 0 then invalid_arg "Model_system.build_group: group_size must be positive";
-  let want = group_size - 1 in
-  let immediate () =
-    take want (List.filter (fun s -> s <> file) (Tracker.successors tracker file))
-  in
-  let transitive () =
-    let seen = ref [ file ] in
-    let members = ref [] in
-    let count = ref 0 in
-    let add f =
-      seen := f :: !seen;
-      members := f :: !members;
-      incr count
-    in
-    let first_unseen candidates =
-      List.find_opt (fun s -> not (List.mem s !seen)) candidates
-    in
-    let rec extend current =
-      if !count < want then
-        match first_unseen (Tracker.successors tracker current) with
-        | Some next ->
-            add next;
-            extend next
-        | None -> fallback (file :: List.rev !members)
-    and fallback chain =
-      if !count < want then
-        let candidates =
-          List.rev chain |> List.filter_map (fun m -> first_unseen (Tracker.successors tracker m))
-        in
-        match candidates with
-        | next :: _ ->
-            add next;
-            extend next
-        | [] -> ()
-    in
-    extend file;
-    List.rev !members
-  in
-  let members =
-    if want = 0 then [] else if group_size <= 3 then immediate () else transitive ()
-  in
-  file :: members
-
-(* --- reference block insertion ------------------------------------------
-
-   Restates Cache.insert_cold_group: distinct non-resident members only,
-   capped at capacity - 1, room made for the whole block before any member
-   is appended. Returns the members actually inserted. *)
 
 let insert_cold_group cache members =
   let fresh =

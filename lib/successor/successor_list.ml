@@ -25,6 +25,8 @@ type t = {
   counts : (int, entry) Hashtbl.t; (* Frequency only: all successors ever *)
   members : (int, unit) Hashtbl.t; (* Frequency only: the current top-k *)
   mutable clock : int;
+  mutable order : int array; (* Frequency only: [members] ranked, rebuilt lazily *)
+  mutable order_stale : bool; (* Frequency only: [members] changed since [order] *)
 }
 
 let create ~capacity ~policy =
@@ -37,15 +39,20 @@ let create ~capacity ~policy =
     counts = Hashtbl.create 16;
     members = Hashtbl.create (2 * capacity);
     clock = 0;
+    order = [||];
+    order_stale = false;
   }
 
 let capacity t = t.capacity
 
 let size t = match t.policy with Recency -> t.len | Frequency -> Hashtbl.length t.members
 
-let find_recency t succ =
-  let rec scan i = if i >= t.len then -1 else if t.succs.(i) = succ then i else scan (i + 1) in
-  scan 0
+(* Index of [succ] in [slots.(off + i) .. slots.(off + len - 1)], or -1.
+   Top level rather than a local closure, so a scan allocates nothing. *)
+let rec find_slot slots ~off ~len succ i =
+  if i >= len then -1 else if slots.(off + i) = succ then i else find_slot slots ~off ~len succ (i + 1)
+
+let find_recency t succ = find_slot t.succs ~off:0 ~len:t.len succ 0
 
 let mem t succ =
   match t.policy with
@@ -57,8 +64,7 @@ let mem t succ =
    [slots.(off) .. slots.(off + len - 1)], evicting the last entry when a
    full region sees a newcomer. Returns the new live length. *)
 let observe_slots slots ~off ~len ~capacity succ =
-  let rec scan i = if i >= len then -1 else if slots.(off + i) = succ then i else scan (i + 1) in
-  let at = scan 0 in
+  let at = find_slot slots ~off ~len succ 0 in
   let shift_end = if at >= 0 then at else min len (capacity - 1) in
   Array.blit slots off slots (off + 1) shift_end;
   slots.(off) <- succ;
@@ -82,6 +88,7 @@ let weakest_member t =
 
 let observe_frequency t succ =
   t.clock <- t.clock + 1;
+  t.order_stale <- true;
   let entry =
     match Hashtbl.find_opt t.counts succ with
     | Some e ->
@@ -107,21 +114,28 @@ let observe_frequency t succ =
 let observe t succ =
   match t.policy with Recency -> observe_recency t succ | Frequency -> observe_frequency t succ
 
+(* The current top-k by (count, tick), most likely first; ticks are
+   unique, so the order is total. Rebuilt only after an observation. *)
+let frequency_order t =
+  if t.order_stale then begin
+    let all =
+      Hashtbl.fold (fun key () acc -> (key, Hashtbl.find t.counts key) :: acc) t.members []
+    in
+    let cmp (_, a) (_, b) =
+      match compare b.count a.count with 0 -> compare b.tick a.tick | c -> c
+    in
+    t.order <- Array.of_list (List.map fst (List.sort cmp all));
+    t.order_stale <- false
+  end;
+  t.order
+
+let nth t i =
+  if i < 0 || i >= size t then invalid_arg "Successor_list.nth: index out of bounds";
+  match t.policy with Recency -> t.succs.(i) | Frequency -> (frequency_order t).(i)
+
 let ranked t =
   match t.policy with
-  | Recency ->
-      let rec build i acc = if i < 0 then acc else build (i - 1) (t.succs.(i) :: acc) in
-      build (t.len - 1) []
-  | Frequency ->
-      let all =
-        Hashtbl.fold (fun key () acc -> (key, Hashtbl.find t.counts key) :: acc) t.members []
-      in
-      let cmp (_, a) (_, b) =
-        match compare b.count a.count with 0 -> compare b.tick a.tick | c -> c
-      in
-      List.map fst (List.sort cmp all)
+  | Recency -> List.init t.len (fun i -> t.succs.(i))
+  | Frequency -> Array.to_list (frequency_order t)
 
-let top t =
-  match t.policy with
-  | Recency -> if t.len > 0 then Some t.succs.(0) else None
-  | Frequency -> ( match ranked t with [] -> None | s :: _ -> Some s)
+let top t = if size t > 0 then Some (nth t 0) else None

@@ -27,6 +27,12 @@ val ranked : t -> Agg_trace.File_id.t list
 (** Successors most-likely first: by recency under [Recency], by
     observation count (most recent first on ties) under [Frequency]. *)
 
+val nth : t -> int -> Agg_trace.File_id.t
+(** [nth t i] is element [i] of {!ranked} ([0] = most likely) without
+    building the list. Under [Recency] it is one array read; under
+    [Frequency] the ranking is re-sorted at most once per observation.
+    @raise Invalid_argument when [i] is outside [\[0, size t)]. *)
+
 val top : t -> Agg_trace.File_id.t option
 (** The most likely successor, if any. *)
 

@@ -90,19 +90,26 @@ let observe t ?(client = 0) file =
 let observe_event t (e : Agg_trace.Event.t) = observe t ~client:e.client e.file
 let observe_trace t trace = Agg_trace.Trace.iter (observe_event t) trace
 
-let successors t file =
+let successor_count t file =
   match t.policy with
-  | Successor_list.Recency ->
-      if file < 0 || file >= t.files_cap then []
-      else begin
-        let off = file * t.capacity in
-        let rec build i acc = if i < off then acc else build (i - 1) (t.slots.(i) :: acc) in
-        build (off + t.lens.(file) - 1) []
-      end
+  | Successor_list.Recency -> if file < 0 || file >= t.files_cap then 0 else t.lens.(file)
   | Successor_list.Frequency -> (
       match Hashtbl.find_opt t.freq_lists file with
-      | Some l -> Successor_list.ranked l
-      | None -> [])
+      | Some l -> Successor_list.size l
+      | None -> 0)
+
+let successor t file i =
+  match t.policy with
+  | Successor_list.Recency ->
+      if i < 0 || i >= successor_count t file then
+        invalid_arg "Tracker.successor: index out of bounds";
+      t.slots.((file * t.capacity) + i)
+  | Successor_list.Frequency -> (
+      match Hashtbl.find_opt t.freq_lists file with
+      | Some l -> Successor_list.nth l i
+      | None -> invalid_arg "Tracker.successor: index out of bounds")
+
+let successors t file = List.init (successor_count t file) (successor t file)
 
 let top_successor t file =
   match t.policy with

@@ -26,8 +26,21 @@ val observe : t -> ?client:int -> Agg_trace.File_id.t -> unit
 val observe_event : t -> Agg_trace.Event.t -> unit
 val observe_trace : t -> Agg_trace.Trace.t -> unit
 
+val successor_count : t -> Agg_trace.File_id.t -> int
+(** Number of successors recorded for a file; [0] for unknown files. *)
+
+val successor : t -> Agg_trace.File_id.t -> int -> Agg_trace.File_id.t
+(** [successor t f i] is the [i]-th ranked successor of [f] ([0] = most
+    likely): element [i] of [successors t f], read in place. With
+    {!successor_count} it lets hot paths walk a list without building
+    it — under [Recency] each read is one array access and allocates
+    nothing.
+    @raise Invalid_argument when [i] is outside
+    [\[0, successor_count t f)]. *)
+
 val successors : t -> Agg_trace.File_id.t -> Agg_trace.File_id.t list
-(** Ranked most-likely first; empty for unknown files. *)
+(** Ranked most-likely first; empty for unknown files. Builds a list —
+    a convenience over {!successor_count} and {!successor}. *)
 
 val top_successor : t -> Agg_trace.File_id.t -> Agg_trace.File_id.t option
 

@@ -67,7 +67,15 @@ type state = {
   client : Cache.t;
   server : Cache.t;
   tracker : Tracker.t;
-  latencies : float Agg_util.Vec.t;
+  client_group : int;  (** the client's group size; 1 = plain (the file alone) *)
+  server_group : int;  (** the server's readahead depth; 0 = plain (none) *)
+  shared_build : bool;
+      (** one build at [server_group] serves both tiers: the client's group
+          is its prefix (see [make_state]) *)
+  group : int array;  (** the retrieval group, built in place *)
+  mutable built : int;  (** length of the last shared build in [group] *)
+  staged : int array;  (** a copy of the client's members for server staging *)
+  latencies : Agg_util.Latencies.t;
   counters : Counters.t;
   mutable client_hits : int;
   mutable server_hits : int;
@@ -101,6 +109,12 @@ let make_state config =
         | Some c -> c
         | None -> Agg_core.Config.default)
   in
+  let client_group =
+    match Scheme.group_config config.client with Some c -> c.Agg_core.Config.group_size | None -> 1
+  in
+  let server_group =
+    match Scheme.group_config config.server with Some c -> c.Agg_core.Config.group_size | None -> 0
+  in
   {
     config;
     plan = Plan.make config.faults;
@@ -109,7 +123,17 @@ let make_state config =
     tracker =
       Tracker.create ~capacity:metadata.Agg_core.Config.successor_capacity
         ~policy:metadata.Agg_core.Config.metadata_policy ();
-    latencies = Agg_util.Vec.create ();
+    client_group;
+    server_group;
+    (* Group_builder's prefix invariant: transitive groups (g >= 4) are
+       prefixes of deeper ones on the same tracker, and a plain client's
+       group, the file alone, is a prefix of any group. Immediate groups
+       (g = 2, 3) are not, so they get a build of their own. *)
+    shared_build = server_group >= client_group && (client_group = 1 || client_group >= 4);
+    group = Array.make (max client_group server_group) 0;
+    built = 0;
+    staged = Array.make client_group 0;
+    latencies = Agg_util.Latencies.create ();
     counters = Counters.create ();
     client_hits = 0;
     server_hits = 0;
@@ -119,42 +143,49 @@ let make_state config =
     now = 0;
   }
 
-(* Serve group members at the server: anything absent comes off the disk
-   and is staged cold into the server cache. *)
-let stage_members st members =
-  List.iter (fun m -> if not (Cache.mem st.server m) then st.disk_reads <- st.disk_reads + 1) members;
-  ignore (Cache.insert_cold_group st.server members)
+(* Serve group members [buf.(pos) .. buf.(pos + len - 1)] at the server:
+   anything absent comes off the disk and is staged cold into the server
+   cache. The slice is compacted in place. *)
+let stage_members st buf ~pos ~len =
+  for i = pos to pos + len - 1 do
+    if not (Cache.mem st.server buf.(i)) then st.disk_reads <- st.disk_reads + 1
+  done;
+  ignore (Cache.insert_cold_slice st.server buf ~pos ~len)
 
 (* One completed remote round trip for [file]: server-side service,
-   member staging and transfer. [members] is empty on the degraded path. *)
-let complete_fetch st file members =
+   member staging and transfer. The members are [st.group.(1) ..
+   st.group.(members)]; [members] is 0 on the degraded path. *)
+let complete_fetch st file ~members =
   st.round_trips <- st.round_trips + 1;
   let served_from_memory = Cache.access st.server file in
   if served_from_memory then st.server_hits <- st.server_hits + 1
   else st.disk_reads <- st.disk_reads + 1;
-  st.files_transferred <- st.files_transferred + 1 + List.length members;
-  stage_members st members;
-  ignore (Cache.insert_cold_group st.client members);
+  st.files_transferred <- st.files_transferred + 1 + members;
+  (* both tiers compact the members they admit in place: the server
+     stages a copy, so the client still sees the whole group *)
+  Array.blit st.group 1 st.staged 0 members;
+  stage_members st st.staged ~pos:0 ~len:members;
+  ignore (Cache.insert_cold_slice st.client st.group ~pos:1 ~len:members);
   Cost_model.demand_fetch_latency st.config.cost ~served_from_disk:(not served_from_memory)
 
 (* The resilience loop: attempts time out while the plan blocks them
    (message lost or server down), waiting out the timeout budget and the
-   exponential backoff between attempts. [`Served] carries the surviving
-   attempt number; [`Degraded] means the retry budget ran dry. *)
-let rec attempt_fetch st ~time ~attempt ~waited =
+   exponential backoff between attempts. Returns the number of failed
+   attempts: at most [max_retries] means the next attempt was served,
+   [max_retries + 1] that the retry budget ran dry. *)
+let rec attempt_fetch st ~time ~attempt =
   let r = st.config.resilience in
   let down = Plan.server_down st.plan ~time in
-  if not (down || Plan.message_lost st.plan ~time ~attempt) then `Served (attempt, waited)
+  if not (down || Plan.message_lost st.plan ~time ~attempt) then attempt
   else begin
     if down then st.counters.Counters.outage_denials <- st.counters.Counters.outage_denials + 1
     else st.counters.Counters.lost_messages <- st.counters.Counters.lost_messages + 1;
     st.counters.Counters.timeouts <- st.counters.Counters.timeouts + 1;
-    let waited = waited +. Resilience.failure_cost_ms r ~attempt in
     if attempt < r.Resilience.max_retries then begin
       st.counters.Counters.retries <- st.counters.Counters.retries + 1;
-      attempt_fetch st ~time ~attempt:(attempt + 1) ~waited
+      attempt_fetch st ~time ~attempt:(attempt + 1)
     end
-    else `Degraded waited
+    else attempt + 1
   end
 
 (* Reconstruct the wait phases of a finished resilience loop for the
@@ -171,55 +202,55 @@ let push_wait_phases ctx r ~failures =
         ~dur_ms:(Resilience.backoff_ms r ~attempt:(a + 1))
   done
 
+(* Build the retrieval group into [st.group] and return the client's
+   part of it, [st.group.(0) .. st.group.(n - 1)]. Under [shared_build]
+   the group is built once at the server's depth and the server's
+   extension, [st.group.(n) ..], is already in place. *)
+let build_group st file =
+  if st.shared_build then begin
+    st.built <- Agg_core.Group_builder.fill st.tracker ~group_size:st.server_group file st.group;
+    min st.client_group st.built
+  end
+  else if st.client_group > 1 then
+    Agg_core.Group_builder.fill st.tracker ~group_size:st.client_group file st.group
+  else begin
+    st.group.(0) <- file;
+    1
+  end
+
+(* An aggregating server walks the chain deeper and stages the part past
+   the client's [n] files into its own cache only — disk readahead that is
+   not transferred to the client. *)
+let stage_extension st file n =
+  if st.server_group > 0 then begin
+    let built =
+      if st.shared_build then st.built
+      else Agg_core.Group_builder.fill st.tracker ~group_size:st.server_group file st.group
+    in
+    stage_members st st.group ~pos:n ~len:(max 0 (built - n))
+  end
+
 let remote_fetch st ~time ~tracing file =
   let obs = Agg_obs.Scope.sink st.config.scope in
-  let group =
-    match Scheme.group_config st.config.client with
-    | Some c ->
-        Agg_core.Group_builder.build st.tracker ~group_size:c.Agg_core.Config.group_size file
-    | None -> [ file ]
-  in
-  let members = match group with _ :: rest -> rest | [] -> [] in
-  let outcome =
+  let n = build_group st file in
+  let r = st.config.resilience in
+  let failures =
     if Plan.enabled st.plan then begin
-      let outcome = attempt_fetch st ~time ~attempt:0 ~waited:0.0 in
-      (if Agg_obs.Sink.enabled obs then
-         let failures =
-           match outcome with `Served (a, _) -> a | `Degraded _ -> st.config.resilience.Resilience.max_retries + 1
-         in
-         for a = 0 to failures - 1 do
-           Agg_obs.Sink.emit obs (Agg_obs.Event.Fetch_timeout { file; attempt = a })
-         done);
-      outcome
+      let failures = attempt_fetch st ~time ~attempt:0 in
+      if Agg_obs.Sink.enabled obs then
+        for a = 0 to failures - 1 do
+          Agg_obs.Sink.emit obs (Agg_obs.Event.Fetch_timeout { file; attempt = a })
+        done;
+      failures
     end
-    else `Served (0, 0.0)
+    else 0
   in
-  (match tracing with
-  | Some ctx ->
-      let failures =
-        match outcome with
-        | `Served (a, _) -> a
-        | `Degraded _ -> st.config.resilience.Resilience.max_retries + 1
-      in
-      push_wait_phases ctx st.config.resilience ~failures
-  | None -> ());
-  match outcome with
-  | `Served (attempt, waited) ->
-      let base = complete_fetch st file members in
-      (* [`Aggregating_both]-style server: walk the chain deeper and stage
-         the extension into the server cache only — disk readahead that is
-         not transferred to the client. *)
-      (match Scheme.group_config st.config.server with
-      | Some c ->
-          let extended =
-            Agg_core.Group_builder.build st.tracker
-              ~group_size:c.Agg_core.Config.group_size file
-          in
-          let rec drop n l =
-            if n <= 0 then l else match l with [] -> [] | _ :: r -> drop (n - 1) r
-          in
-          stage_members st (drop (List.length group) extended)
-      | None -> ());
+  (match tracing with Some ctx -> push_wait_phases ctx r ~failures | None -> ());
+  let waited = Resilience.waited_ms r ~failures in
+  match failures with
+  | attempt when attempt <= r.Resilience.max_retries ->
+      let base = complete_fetch st file ~members:(n - 1) in
+      stage_extension st file n;
       let served_ms =
         if Plan.enabled st.plan then begin
           let multiplier = Plan.latency_multiplier st.plan ~time ~attempt in
@@ -236,18 +267,18 @@ let remote_fetch st ~time ~tracing file =
             ~dur_ms:served_ms
       | None -> ());
       waited +. served_ms
-  | `Degraded waited ->
+  | _ ->
       (* Retries exhausted: fall back to a single-file demand fetch over
          the hardened minimal path — speculative members are dropped, the
          demanded file is still served (modelled as always succeeding). *)
       st.counters.Counters.degraded_fetches <- st.counters.Counters.degraded_fetches + 1;
       if Agg_obs.Sink.enabled obs then
         Agg_obs.Sink.emit obs
-          (Agg_obs.Event.Fetch_degraded { file; dropped = List.length members });
+          (Agg_obs.Event.Fetch_degraded { file; dropped = n - 1 });
       (match Agg_obs.Scope.series st.config.scope with
       | Some s -> Agg_obs.Series.observe_degraded s ~index:time
       | None -> ());
-      let fallback = complete_fetch st file [] in
+      let fallback = complete_fetch st file ~members:0 in
       (match tracing with
       | Some ctx ->
           Agg_obs.Trace_ctx.push ctx ~cat:"degraded"
@@ -294,32 +325,21 @@ let access st file =
       Agg_obs.Series.observe_latency s ~index:time
         ~us:(int_of_float ((latency *. 1000.0) +. 0.5))
   | None -> ());
-  Agg_util.Vec.push st.latencies latency
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else
-    let idx = int_of_float (Float.of_int (n - 1) *. p) in
-    sorted.(idx)
+  Agg_util.Latencies.push st.latencies latency
 
 let run config trace =
   let st = make_state config in
   Agg_trace.Trace.iter (fun (e : Agg_trace.Event.t) -> access st e.Agg_trace.Event.file) trace;
-  let latencies = Agg_util.Vec.to_array st.latencies in
-  let total = Array.fold_left ( +. ) 0.0 latencies in
-  let sorted = Array.copy latencies in
-  Array.sort compare sorted;
   {
-    accesses = Array.length latencies;
+    accesses = Agg_util.Latencies.length st.latencies;
     client_hits = st.client_hits;
     server_hits = st.server_hits;
     disk_reads = st.disk_reads;
     files_transferred = st.files_transferred;
     round_trips = st.round_trips;
-    mean_latency = (if Array.length latencies = 0 then 0.0 else total /. float_of_int (Array.length latencies));
-    p95_latency = percentile sorted 0.95;
-    p99_latency = percentile sorted 0.99;
+    mean_latency = Agg_util.Latencies.mean st.latencies;
+    p95_latency = Agg_util.Latencies.percentile st.latencies 0.95;
+    p99_latency = Agg_util.Latencies.percentile st.latencies 0.99;
     faults = st.counters;
   }
 

@@ -1,8 +1,6 @@
 type 'a t = { mutable data : 'a array; mutable size : int }
 
-let create ?(capacity = 16) () =
-  ignore capacity;
-  { data = [||]; size = 0 }
+let create () = { data = [||]; size = 0 }
 
 let length t = t.size
 let is_empty t = t.size = 0

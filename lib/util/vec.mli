@@ -3,7 +3,11 @@
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
+val create : unit -> 'a t
+(** An empty vector. The backing array is allocated on the first [push]
+    (16 slots, doubling after), since there is no element to fill it
+    with before then. *)
+
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 

@@ -345,6 +345,40 @@ let client_property =
         accesses
       && Agg_core.Client_cache.metrics real = Model_system.Client.metrics model)
 
+(* --- qcheck: group construction vs its model ---------------------------- *)
+
+let stream_gen =
+  QCheck.(list_of_size (QCheck.Gen.int_bound 150) (QCheck.map (fun i -> abs i mod 12) int))
+
+let group_property policy pname =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "Group_builder.fill agrees with the group model (%s)" pname)
+    ~count:60
+    QCheck.(pair (int_range 1 8) stream_gen)
+    (fun (capacity, stream) ->
+      match Diff_engine.group_diff ~policy ~capacity (Array.of_list stream) with
+      | _, None -> true
+      | _, Some detail -> QCheck.Test.fail_report detail)
+
+(* Path builds one group at the server's depth and hands the client its
+   prefix: for g >= 4, fill at g must be a prefix of fill at any g' >= g
+   on the same tracker. *)
+let group_prefix_property =
+  QCheck.Test.make ~name:"fill at g >= 4 is a prefix of fill at any g' >= g" ~count:150
+    QCheck.(quad bool (int_range 1 8) (pair (int_range 4 12) (int_range 0 8)) stream_gen)
+    (fun (recency, capacity, (g, extra), stream) ->
+      let policy = if recency then Successor_list.Recency else Successor_list.Frequency in
+      let tracker = Agg_successor.Tracker.create ~capacity ~policy () in
+      List.iter (Agg_successor.Tracker.observe tracker) stream;
+      let g' = g + extra in
+      let short = Array.make g (-1) and long = Array.make g' (-1) in
+      List.for_all
+        (fun anchor ->
+          let n = Agg_core.Group_builder.fill tracker ~group_size:g anchor short in
+          let n' = Agg_core.Group_builder.fill tracker ~group_size:g' anchor long in
+          n <= n' && Array.sub short 0 n = Array.sub long 0 n)
+        (List.init 12 Fun.id))
+
 (* --- end-to-end calibrated-trace differential (small budget) ---------- *)
 
 let test_trace_checks_small () =
@@ -390,6 +424,9 @@ let qcheck_tests =
       successor_property Successor_list.Frequency "frequency";
       oracle_property;
       client_property;
+      group_property Successor_list.Recency "recency";
+      group_property Successor_list.Frequency "frequency";
+      group_prefix_property;
     ]
 
 let () =

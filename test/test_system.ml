@@ -76,6 +76,63 @@ let test_aggregation_cuts_latency_on_predictable_workload () =
     (agg.Path.files_transferred > baseline.Path.files_transferred);
   check_bool "server staging helps server hits" true (both.Path.server_hits >= agg.Path.server_hits)
 
+(* A list-based restatement of Path's fault-free replay: the client's
+   group and the server's readahead are built separately with
+   [Group_builder.build], and the extension is the deeper group minus the
+   client's. Path builds once and splits when the prefix invariant
+   allows; every counter must still agree, for every pairing of client
+   and server group sizes — the immediate sizes 2 and 3 included, where
+   Path must build twice. *)
+let reference_path (config : Path.config) trace =
+  let module Cache = Agg_cache.Cache in
+  let client = Cache.create (Scheme.cache_kind config.Path.client) ~capacity:config.Path.client_capacity in
+  let server = Cache.create (Scheme.cache_kind config.Path.server) ~capacity:config.Path.server_capacity in
+  let tracker = Agg_successor.Tracker.create () in
+  let build scheme file =
+    match Scheme.group_config scheme with
+    | Some c -> Agg_core.Group_builder.build tracker ~group_size:c.Agg_core.Config.group_size file
+    | None -> [ file ]
+  in
+  let hits = ref 0 and server_hits = ref 0 and disk = ref 0 and sent = ref 0 in
+  let stage members =
+    List.iter (fun m -> if not (Cache.mem server m) then incr disk) members;
+    ignore (Cache.insert_cold_group server members)
+  in
+  Agg_trace.Trace.iter
+    (fun (e : Agg_trace.Event.t) ->
+      let file = e.Agg_trace.Event.file in
+      Agg_successor.Tracker.observe tracker file;
+      if Cache.access client file then incr hits
+      else begin
+        let group = build config.Path.client file in
+        let members = List.tl group in
+        if Cache.access server file then incr server_hits else incr disk;
+        sent := !sent + List.length group;
+        stage members;
+        ignore (Cache.insert_cold_group client members);
+        if Scheme.group_config config.Path.server <> None then
+          stage (List.filteri (fun i _ -> i >= List.length group) (build config.Path.server file))
+      end)
+    trace;
+  (!hits, !server_hits, !disk, !sent)
+
+let test_shared_build_matches_two_builds () =
+  let trace = Agg_workload.Generator.generate ~seed:3 ~events:6_000 Agg_workload.Profile.server in
+  let scheme g = if g = 0 then Scheme.plain_lru else Scheme.aggregating ~group_size:g () in
+  List.iter
+    (fun (cg, sg) ->
+      let config =
+        { Path.default_config with Path.client = scheme cg; server = scheme sg; client_capacity = 100 }
+      in
+      let r = Path.run config trace in
+      let hits, server_hits, disk, sent = reference_path config trace in
+      let label = Printf.sprintf "client g%d, server g%d: %s" cg sg in
+      check_int (label "client hits") hits r.Path.client_hits;
+      check_int (label "server hits") server_hits r.Path.server_hits;
+      check_int (label "disk reads") disk r.Path.disk_reads;
+      check_int (label "transferred") sent r.Path.files_transferred)
+    (List.concat_map (fun cg -> List.map (fun sg -> (cg, sg)) [ 0; 1; 2; 3; 5; 8; 10 ]) [ 0; 1; 2; 3; 4; 5; 6 ])
+
 let test_deployment_names () =
   Alcotest.(check string) "baseline" "baseline" (Path.deployment_name `Baseline);
   Alcotest.(check string) "client" "agg-client" (Path.deployment_name `Aggregating_client);
@@ -279,6 +336,77 @@ let qcheck_tests =
         r.Path.client_hits + r.Path.round_trips = r.Path.accesses);
   ]
 
+(* --- allocation ceilings ----------------------------------------------------
+
+   Minor words allocated per access, read from [Gc.minor_words] around
+   the measured loop. Allocation is a deterministic function of the code
+   and its input, so these ceilings gate regressions exactly, however
+   noisy the machine's timings are. *)
+
+let minor_words_per ~accesses f =
+  let w0 = Gc.minor_words () in
+  f ();
+  (Gc.minor_words () -. w0) /. float_of_int accesses
+
+let check_ceiling name ~ceiling words =
+  if not (words <= ceiling) then
+    Alcotest.failf "%s: %.3f minor words per access, ceiling %.3f" name words ceiling
+
+let test_alloc_cache_lru_hits () =
+  let cache = Agg_cache.Cache.create Agg_cache.Cache.Lru ~capacity:256 in
+  for f = 0 to 255 do
+    ignore (Agg_cache.Cache.access cache f)
+  done;
+  let accesses = 200_000 in
+  let words =
+    minor_words_per ~accesses (fun () ->
+        for i = 1 to accesses do
+          ignore (Agg_cache.Cache.access cache (i * 37 land 255))
+        done)
+  in
+  check_int "all hits" accesses (Agg_cache.Cache.stats cache).Agg_cache.Cache.hits;
+  check_ceiling "Cache lru hit" ~ceiling:0.01 words
+
+let test_alloc_tracker_observe () =
+  let files = Agg_trace.Trace.files (Agg_workload.Generator.generate ~seed:1 ~events:60_000 Agg_workload.Profile.server) in
+  let tracker = Agg_successor.Tracker.create () in
+  (* one warm pass grows the flat arrays to the namespace *)
+  Array.iter (Agg_successor.Tracker.observe tracker) files;
+  let words =
+    minor_words_per ~accesses:(Array.length files) (fun () ->
+        Array.iter (Agg_successor.Tracker.observe tracker) files)
+  in
+  check_ceiling "Tracker.observe" ~ceiling:0.01 words
+
+let test_alloc_client_g5_hits () =
+  let config = Agg_core.Config.with_group_size 5 Agg_core.Config.default in
+  let client = Agg_core.Client_cache.create ~config ~capacity:256 () in
+  (* a repeating run of 100 files: warm-up misses build groups, then
+     every access is a hit *)
+  for i = 0 to 999 do
+    ignore (Agg_core.Client_cache.access client (i mod 100))
+  done;
+  let accesses = 200_000 in
+  let hits = ref 0 in
+  let words =
+    minor_words_per ~accesses (fun () ->
+        for i = 0 to accesses - 1 do
+          if Agg_core.Client_cache.access client (i mod 100) then incr hits
+        done)
+  in
+  check_int "all hits" accesses !hits;
+  check_ceiling "Client_cache g5 hit" ~ceiling:0.01 words
+
+let test_alloc_path_agg_both () =
+  let trace = Agg_workload.Generator.generate ~seed:1 ~events:60_000 Agg_workload.Profile.server in
+  let config = Path.with_deployment `Aggregating_both Path.default_config in
+  let r = ref None in
+  let words = minor_words_per ~accesses:60_000 (fun () -> r := Some (Path.run config trace)) in
+  (match !r with Some r -> check_int "accesses" 60_000 r.Path.accesses | None -> ());
+  (* set-up included: caches, tracker and the latency recorder. Measured
+     at 5.9 words per access when the ceiling was set. *)
+  check_ceiling "Path.run Aggregating_both" ~ceiling:10.0 words
+
 let () =
   Alcotest.run "agg_system"
     [
@@ -292,6 +420,7 @@ let () =
           Alcotest.test_case "aggregation cuts latency" `Quick
             test_aggregation_cuts_latency_on_predictable_workload;
           Alcotest.test_case "deployment names" `Quick test_deployment_names;
+          Alcotest.test_case "shared build = two builds" `Quick test_shared_build_matches_two_builds;
           Alcotest.test_case "empty trace" `Quick test_empty_trace;
         ] );
       ( "fleet",
@@ -309,6 +438,13 @@ let () =
           Alcotest.test_case "telemetry off is byte-identical" `Quick
             test_path_telemetry_off_identity;
           Alcotest.test_case "fleet series reconciles" `Quick test_fleet_series_reconciles;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "cache lru hits" `Quick test_alloc_cache_lru_hits;
+          Alcotest.test_case "tracker observe" `Quick test_alloc_tracker_observe;
+          Alcotest.test_case "client g5 hits" `Quick test_alloc_client_g5_hits;
+          Alcotest.test_case "path agg-both ceiling" `Quick test_alloc_path_agg_both;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

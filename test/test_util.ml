@@ -607,6 +607,28 @@ let qcheck_tests =
                     Vec.pop v = Some x))
           ops
         && Vec.to_list v = List.rev !model);
+    (* The recorder's selection must return what the sort it replaced
+       returned, bit for bit: latencies take a handful of discrete values,
+       so the arrays are mostly ties. *)
+    Test.make ~name:"Latencies percentile and mean match sort-then-index" ~count:300
+      (list (oneofl [ 0.05; 0.75; 0.75; 8.75; 8.75; 118.75; 2.5e-3; 1e9 ]))
+      (fun samples ->
+        let l = Latencies.create () in
+        List.iter (Latencies.push l) samples;
+        let a = Array.of_list samples in
+        let n = Array.length a in
+        let mean = if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 a /. float_of_int n in
+        let sorted = Array.copy a in
+        Array.sort compare sorted;
+        let by_sort p = if n = 0 then 0.0 else sorted.(int_of_float (Float.of_int (n - 1) *. p)) in
+        let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+        (* selection reorders the samples: query twice, and take the mean
+           after, to pin that neither answer depends on the order *)
+        List.for_all
+          (fun p -> same (Latencies.percentile l p) (by_sort p))
+          [ 0.95; 0.99; 0.95; 0.0; 0.5; 1.0 ]
+        && Latencies.length l = n
+        && same (Latencies.mean l) mean);
     Test.make ~name:"Table.render is deterministic and contains every cell" ~count:100
       (list (pair small_int small_int))
       (fun rows ->
