@@ -155,6 +155,22 @@ dune build @cluster
 # fuzz/shrink path.
 dune build @scenario
 
+# Sparse-id gate: a path scenario over a three-line trace with file id
+# 400000000 must run in bounded memory. Path once sized its tables by the
+# largest id and died with an uncaught Out_of_memory under this limit.
+sparse_dir=$(mktemp -d)
+printf '#aggtrace v1\n0 o 0 400000000\n1 o 0 7\n2 o 0 400000000\n' > "$sparse_dir/sparse.trc"
+printf '#scenario v1\nname sparse-id-path\nworkload trace file=%s\ntopology path client_capacity=300 server_capacity=1000\npolicy lru\npolicy g5\ninvariant conservation\n' \
+  "$sparse_dir/sparse.trc" > "$sparse_dir/sparse.scn"
+if ! sparse_out=$( (ulimit -v 3000000; ./_build/default/bin/aggsim.exe scenario run --file "$sparse_dir/sparse.scn") 2>&1 ) \
+  || printf '%s' "$sparse_out" | grep -q 'uncaught exception'; then
+  printf '%s\n' "$sparse_out" >&2
+  echo "ci.sh: the sparse-id path scenario failed under ulimit -v 3000000" >&2
+  rm -rf "$sparse_dir"
+  exit 1
+fi
+rm -rf "$sparse_dir"
+
 # Telemetry gate: windowed-series exports reconciled against run
 # counters, the Chrome span dump, and the deterministic sampled
 # event-dump path.

@@ -935,3 +935,325 @@ let trace_checks ~seed ~events =
       in
       replays @ clients @ servers @ invariants)
     Profile.all
+
+(* --- codec lockstep ---------------------------------------------------------- *)
+
+module Codec = Agg_trace.Codec
+module Event = Agg_trace.Event
+module Trace = Agg_trace.Trace
+module Weights = Agg_trace.Weights
+
+type codec_outcome =
+  | Read of Event.t list * (int * Policy.weight) list
+  | Rejected of int * string  (** a [Parse_error]'s line and message *)
+  | Raised of string  (** any other exception: a defect in either reader *)
+
+let codec_outcome read =
+  match read () with
+  | trace, weights -> Read (Trace.to_events trace, Weights.to_alist weights)
+  | exception Codec.Parse_error { line; message } -> Rejected (line, message)
+  | exception e -> Raised (Printexc.to_string e)
+
+let codec_outcome_to_string = function
+  | Read (events, weights) ->
+      Printf.sprintf "%d events, %d weights" (List.length events) (List.length weights)
+  | Rejected (line, message) -> Printf.sprintf "line %d: %s" line message
+  | Raised e -> "raised " ^ e
+
+let with_temp_file contents f =
+  let path = Filename.temp_file "codec" ".trc" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+      f path)
+
+let codec_diff input =
+  let from_channel read path = codec_outcome (fun () -> In_channel.with_open_bin path read) in
+  with_temp_file input (fun path ->
+      let model = codec_outcome (fun () -> Model_codec.of_string_weighted input) in
+      let model_channel = from_channel Model_codec.read_channel_weighted path in
+      let scanned = codec_outcome (fun () -> Codec.of_string_weighted input) in
+      let channel = from_channel Codec.read_channel_weighted path in
+      let folded =
+        from_channel
+          (fun ic ->
+            let events = Codec.fold_channel ic ~init:[] ~f:(fun acc e -> e :: acc) in
+            (Trace.of_events (List.rev events), Weights.create ()))
+          path
+      in
+      let model_events = match model_channel with Read (es, _) -> Read (es, []) | o -> o in
+      let differ what got want =
+        Some
+          (Printf.sprintf "%s: %s vs model %s" what (codec_outcome_to_string got)
+             (codec_outcome_to_string want))
+      in
+      if scanned <> model then differ "of_string" scanned model
+      else if channel <> model_channel then differ "read_channel" channel model_channel
+      else if folded <> model_events then differ "fold_channel" folded model_events
+      else None)
+
+let codec_write_diff ?weights trace =
+  let s = Codec.to_string ?weights trace in
+  let written =
+    with_temp_file "" (fun path ->
+        Out_channel.with_open_bin path (fun oc -> Codec.write_channel ?weights oc trace);
+        In_channel.with_open_bin path In_channel.input_all)
+  in
+  let want =
+    Read (Trace.to_events trace, match weights with Some w -> Weights.to_alist w | None -> [])
+  in
+  if s <> written then Some "to_string and write_channel bytes differ"
+  else
+    match codec_outcome (fun () -> Codec.of_string_weighted s) with
+    | got when got = want -> None
+    | got ->
+        Some
+          (Printf.sprintf "round trip: %s vs %s" (codec_outcome_to_string got)
+             (codec_outcome_to_string want))
+
+let gen_codec_trace prng ~events =
+  let trace = Trace.create () in
+  for seq = 0 to events - 1 do
+    let field () =
+      match Prng.int prng 4 with
+      | 0 -> Prng.int prng 10
+      | 1 -> Prng.int prng 100_000
+      | 2 -> Prng.int prng (1 lsl 40)
+      | _ -> Prng.int prng 1_000_000_000_000_000_000
+    in
+    let op = match Prng.int prng 3 with 0 -> Event.Open | 1 -> Event.Read | _ -> Event.Write in
+    Trace.append trace { Event.seq; op; client = field (); file = field () }
+  done;
+  trace
+
+let gen_codec_weights prng =
+  let weights = Weights.create () in
+  for _ = 1 to Prng.int prng 4 do
+    Weights.set weights (Prng.int prng 1000)
+      { Policy.size = 1 + Prng.int prng 64; cost = 1 + Prng.int prng 64 }
+  done;
+  weights
+
+(* One field-level or line-level corruption of a canonical line: every
+   shape the scanner must hand to the slow parser. *)
+let mutate_line prng line =
+  let len = String.length line in
+  let at = if len = 0 then 0 else Prng.int prng (len + 1) in
+  let insert s = String.sub line 0 at ^ s ^ String.sub line at (len - at) in
+  let fields = String.split_on_char ' ' line in
+  let replace_field f =
+    match fields with
+    | [] -> line
+    | _ ->
+        let k = Prng.int prng (List.length fields) in
+        String.concat " " (List.mapi (fun i x -> if i = k then f x else x) fields)
+  in
+  match Prng.int prng 14 with
+  | 0 ->
+      if len = 0 then line
+      else String.mapi (fun i c -> if i = at mod len then Char.chr (Prng.int prng 256) else c) line
+  | 1 -> insert " "
+  | 2 -> insert "\t"
+  | 3 -> line ^ "\r"
+  | 4 -> "  " ^ line ^ " "
+  | 5 -> replace_field (fun x -> "+" ^ x)
+  | 6 -> replace_field (fun x -> "-" ^ x)
+  | 7 -> replace_field (fun _ -> "0x1f")
+  | 8 -> replace_field (fun x -> x ^ "_0")
+  | 9 -> replace_field (fun x -> String.make (19 - Int.min 18 (String.length x)) '0' ^ x)
+  | 10 -> replace_field (fun _ -> "9999999999999999999")
+  | 11 -> Printf.sprintf "w %d %d %d" (Prng.int prng 50) (Prng.int prng 5 - 1) (Prng.int prng 5)
+  | 12 -> if Prng.bool prng then "" else "# comment " ^ line
+  | _ -> String.sub line 0 at
+
+(* A canonical trace, possibly with weights and a padding comment that
+   moves the chunk boundaries, then [mutations] corrupted lines. *)
+let gen_codec_input prng ~events ~mutations =
+  let weights = if Prng.bool prng then Some (gen_codec_weights prng) else None in
+  let text = Codec.to_string ?weights (gen_codec_trace prng ~events) in
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  if Prng.bool prng then lines.(0) <- lines.(0) ^ "\n#" ^ String.make (Prng.int prng 4096) 'p';
+  for _ = 1 to mutations do
+    let i = Prng.int prng (Array.length lines) in
+    lines.(i) <- mutate_line prng lines.(i)
+  done;
+  let text = String.concat "\n" (Array.to_list lines) in
+  if Prng.int prng 4 = 0 then String.sub text 0 (Prng.int prng (String.length text + 1)) else text
+
+let codec_checks ~seed ~ops =
+  let run name ~inputs gen =
+    let prng = Prng.derive (Prng.create ~seed ()) (Hashtbl.hash name) in
+    let cases = ref 0 and failure = ref None in
+    while !failure = None && !cases < inputs do
+      incr cases;
+      let input = gen prng in
+      match codec_diff input with
+      | None -> ()
+      | Some detail -> failure := Some (Printf.sprintf "seed=%d input %S: %s" seed input detail)
+    done;
+    match !failure with None -> ok name !cases | Some detail -> fail name !cases detail
+  in
+  let writer =
+    let prng = Prng.derive (Prng.create ~seed ()) 1 in
+    let cases = max 1 (ops / 200) in
+    let rec go i =
+      if i = cases then ok "codec.writer" cases
+      else
+        let weights = if Prng.bool prng then Some (gen_codec_weights prng) else None in
+        match codec_write_diff ?weights (gen_codec_trace prng ~events:(Prng.int prng 300)) with
+        | None -> go (i + 1)
+        | Some detail -> fail "codec.writer" (i + 1) (Printf.sprintf "seed=%d case %d: %s" seed i detail)
+    in
+    go 0
+  in
+  [
+    run "codec.lockstep" ~inputs:(max 1 (ops / 20)) (fun prng ->
+        gen_codec_input prng ~events:(Prng.int prng 30) ~mutations:(Prng.int prng 4));
+    (* beyond one 64 KiB chunk: lines straddle every chunk boundary *)
+    run "codec.lockstep.chunked" ~inputs:4 (fun prng ->
+        gen_codec_input prng ~events:(2_000 + Prng.int prng 6_000) ~mutations:(Prng.int prng 40));
+    writer;
+  ]
+
+(* --- Path id-bijection invariance ------------------------------------------ *)
+
+module Path = Agg_system.Path
+
+type path_run = {
+  result : Path.result;
+  events : Agg_obs.Event.t list;
+  spans : Agg_obs.Trace_ctx.span list;
+}
+
+let path_run config files =
+  let sink = Agg_obs.Sink.memory () in
+  let trace_ctx = Agg_obs.Trace_ctx.create ~sample:0.5 ~seed:3 () in
+  let config = { config with Path.scope = Some (Agg_obs.Scope.create ~sink ~trace_ctx ()) } in
+  let result = Path.run config (Trace.of_files (Array.to_list files)) in
+  { result; events = Agg_obs.Sink.events sink; spans = Agg_obs.Trace_ctx.spans trace_ctx }
+
+let relabel_event relabel (e : Agg_obs.Event.t) =
+  match e with
+  | Agg_obs.Event.Fetch_timeout r -> Agg_obs.Event.Fetch_timeout { r with file = relabel r.file }
+  | Agg_obs.Event.Fetch_degraded r -> Agg_obs.Event.Fetch_degraded { r with file = relabel r.file }
+  | e -> e
+
+(* Every span names the raw id its request accessed. *)
+let span_ids_raw files spans =
+  List.for_all
+    (fun (s : Agg_obs.Trace_ctx.span) ->
+      let raw = files.(s.Agg_obs.Trace_ctx.request) in
+      let suffix = Printf.sprintf " f%d" raw in
+      let name = s.Agg_obs.Trace_ctx.span_name in
+      s.Agg_obs.Trace_ctx.file = raw
+      && (s.Agg_obs.Trace_ctx.span_cat <> "request" && s.Agg_obs.Trace_ctx.span_cat <> "fetch"
+          && s.Agg_obs.Trace_ctx.span_cat <> "degraded"
+         || String.ends_with ~suffix name))
+    spans
+
+let path_relabel_diff config files ~relabel =
+  let relabelled = Array.map relabel files in
+  let a = path_run config files and b = path_run config relabelled in
+  if a.result <> b.result then
+    Some
+      (Format.asprintf "result %a vs relabelled %a" Path.pp_result a.result Path.pp_result b.result)
+  else if List.map (relabel_event relabel) a.events <> b.events then
+    Some "relabelled run's events are not the original's under the relabelling"
+  else if not (span_ids_raw files a.spans) then Some "a span does not carry its raw id"
+  else if not (span_ids_raw relabelled b.spans) then Some "a relabelled span does not carry its raw id"
+  else None
+
+(* An injective relabelling of [0, universe): half the ids at 2^40 and
+   beyond, so the interner runs. *)
+let gen_relabelling prng ~universe =
+  let taken = Hashtbl.create universe in
+  let fresh () =
+    let rec go () =
+      let v =
+        if Prng.bool prng then (1 lsl 40) + Prng.int prng (1 lsl 40) else Prng.int prng (4 * universe)
+      in
+      if Hashtbl.mem taken v then go ()
+      else begin
+        Hashtbl.replace taken v ();
+        v
+      end
+    in
+    go ()
+  in
+  let map = Array.init universe (fun _ -> fresh ()) in
+  fun f -> map.(f)
+
+let hostile_plan =
+  {
+    Agg_faults.Plan.default with
+    Agg_faults.Plan.loss_rate = 0.4;
+    outage_period = 100;
+    outage_rate = 0.3;
+    outage_length = 20;
+    crash_rate = 0.01;
+  }
+
+(* The configurations, in three families: every plain cache kind at both
+   tiers, the aggregating client and the aggregating client and server
+   at g in {1, 2, 3, 5, 7}; each healthy and under [hostile_plan]. *)
+let path_relabel_families =
+  let base = Path.default_config in
+  let with_faults configs =
+    List.concat_map
+      (fun (name, (config : Path.config)) ->
+        [ (name, config); (name ^ "+faults", { config with Path.faults = hostile_plan }) ])
+      configs
+  in
+  let grouped deployment =
+    List.map
+      (fun g -> (Printf.sprintf "g%d" g, Path.with_deployment ~group_size:g deployment base))
+      [ 1; 2; 3; 5; 7 ]
+  in
+  [
+    ( "plain",
+      with_faults
+        (List.map
+           (fun kind ->
+             ( Cache.kind_name kind,
+               { base with Path.client = Agg_system.Scheme.Plain kind; server = Agg_system.Scheme.Plain kind } ))
+           Cache.all_kinds) );
+    ("agg-client", with_faults (grouped `Aggregating_client));
+    ("agg-both", with_faults (grouped `Aggregating_both));
+  ]
+
+let path_relabel_checks ~seed ~ops =
+  let rounds = max 1 (ops / 5_000) in
+  List.map
+    (fun (family, configs) ->
+      let name = "path.relabel." ^ family in
+      let prng = Prng.derive (Prng.create ~seed ()) (Hashtbl.hash name) in
+      let cases = ref 0 and failure = ref None in
+      for _ = 1 to rounds do
+        List.iter
+          (fun (cname, (config : Path.config)) ->
+            if !failure = None then begin
+              let files = gen_group_stream prng ~count:(100 + Prng.int prng 400) in
+              let relabel = gen_relabelling prng ~universe:32 in
+              let config =
+                {
+                  config with
+                  Path.client_capacity = 2 + Prng.int prng 12;
+                  server_capacity = 4 + Prng.int prng 24;
+                }
+              in
+              cases := !cases + Array.length files;
+              match path_relabel_diff config files ~relabel with
+              | None -> ()
+              | Some detail ->
+                  failure :=
+                    Some
+                      (Printf.sprintf "seed=%d %s c%d s%d files [%s]: %s" seed cname
+                         config.Path.client_capacity config.Path.server_capacity
+                         (int_list_to_string (Array.to_list files))
+                         detail)
+            end)
+          configs
+      done;
+      match !failure with None -> ok name !cases | Some detail -> fail name !cases detail)
+    path_relabel_families

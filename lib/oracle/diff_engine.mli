@@ -137,4 +137,54 @@ val trace_checks : seed:int -> events:int -> check list
     (metrics conservation, no policy beats Belady, group size 1 ≡ plain
     LRU). *)
 
+val codec_diff : string -> string option
+(** [codec_diff input] reads [input] with {!Agg_trace.Codec}'s scanner —
+    [of_string_weighted], [read_channel_weighted] and [fold_channel],
+    the last two through a temporary file — and with {!Model_codec}. The
+    events and weights must be equal, or both sides must raise the same
+    [Parse_error { line; message }]. [None] means agreement. *)
+
+val codec_write_diff : ?weights:Agg_trace.Weights.t -> Agg_trace.Trace.t -> string option
+(** [None] when [to_string] and [write_channel] produce the same bytes
+    and reading them back gives the trace and weights again. *)
+
+val gen_codec_input : Agg_util.Prng.t -> events:int -> mutations:int -> string
+(** A canonical trace of [events] events (random ops, fields from one
+    digit to 18 digits, sometimes weight lines and a padding comment of
+    up to 4 KiB) with [mutations] corrupted lines: random bytes, spaces,
+    tabs, CR, signs, [0x] and [_] literals, 19-digit fields, weight
+    lines, comments and truncation. *)
+
+val codec_checks : seed:int -> ops:int -> check list
+(** {!codec_diff} over [ops / 20] small mutated inputs
+    ([codec.lockstep]) and over four inputs larger than the scanner's
+    64 KiB chunk ([codec.lockstep.chunked]), plus {!codec_write_diff}
+    over generated traces ([codec.writer]). *)
+
+val path_relabel_diff :
+  Agg_system.Path.config -> int array -> relabel:(int -> int) -> string option
+(** [path_relabel_diff config files ~relabel] replays [files] and their
+    image under the injective [relabel] through {!Agg_system.Path.run},
+    each with a memory sink and a trace context sampling half the
+    requests. The results must be equal, the relabelled run's events
+    must be the original's relabelled, and every span of both runs must
+    carry the raw id its request accessed. *)
+
+val gen_relabelling : Agg_util.Prng.t -> universe:int -> int -> int
+(** An injective relabelling of [\[0, universe)]; about half of the
+    images are 2^40 or larger. *)
+
+val path_relabel_families : (string * (string * Agg_system.Path.config) list) list
+(** The configurations {!path_relabel_checks} covers, by family:
+    [plain] (every cache kind at both tiers), [agg-client] and
+    [agg-both] (g in 1, 2, 3, 5, 7), each with and without a hostile
+    fault plan (loss, outages and client crashes). *)
+
+val path_relabel_checks : seed:int -> ops:int -> check list
+(** {!path_relabel_diff} on generated streams over at most 32 files
+    (so the original ids take {!Agg_trace.Trace.dense_ids}' identity
+    branch and the relabelled ones the interner), at small capacities:
+    one check per {!path_relabel_families} family, named
+    [path.relabel.<family>]. *)
+
 val all_pass : check list -> bool

@@ -63,6 +63,7 @@ type result = {
 
 type state = {
   config : config;
+  raw : int array;  (** dense id -> raw id: the replay runs on dense ids, users see raw ones *)
   plan : Plan.t;
   client : Cache.t;
   server : Cache.t;
@@ -99,8 +100,7 @@ let validate config =
   Plan.validate config.faults;
   Resilience.validate config.resilience
 
-let make_state config =
-  validate config;
+let make_state (config : config) ~raw =
   let metadata =
     match Scheme.group_config config.client with
     | Some c -> c
@@ -117,6 +117,7 @@ let make_state config =
   in
   {
     config;
+    raw;
     plan = Plan.make config.faults;
     client = Cache.create (Scheme.cache_kind config.client) ~capacity:config.client_capacity;
     server = Cache.create (Scheme.cache_kind config.server) ~capacity:config.server_capacity;
@@ -239,7 +240,7 @@ let remote_fetch st ~time ~tracing file =
       let failures = attempt_fetch st ~time ~attempt:0 in
       if Agg_obs.Sink.enabled obs then
         for a = 0 to failures - 1 do
-          Agg_obs.Sink.emit obs (Agg_obs.Event.Fetch_timeout { file; attempt = a })
+          Agg_obs.Sink.emit obs (Agg_obs.Event.Fetch_timeout { file = st.raw.(file); attempt = a })
         done;
       failures
     end
@@ -263,7 +264,7 @@ let remote_fetch st ~time ~tracing file =
       (match tracing with
       | Some ctx ->
           Agg_obs.Trace_ctx.push ctx ~cat:"fetch"
-            (Printf.sprintf "fetch f%d" file)
+            (Printf.sprintf "fetch f%d" st.raw.(file))
             ~dur_ms:served_ms
       | None -> ());
       waited +. served_ms
@@ -274,7 +275,7 @@ let remote_fetch st ~time ~tracing file =
       st.counters.Counters.degraded_fetches <- st.counters.Counters.degraded_fetches + 1;
       if Agg_obs.Sink.enabled obs then
         Agg_obs.Sink.emit obs
-          (Agg_obs.Event.Fetch_degraded { file; dropped = n - 1 });
+          (Agg_obs.Event.Fetch_degraded { file = st.raw.(file); dropped = n - 1 });
       (match Agg_obs.Scope.series st.config.scope with
       | Some s -> Agg_obs.Series.observe_degraded s ~index:time
       | None -> ());
@@ -282,7 +283,7 @@ let remote_fetch st ~time ~tracing file =
       (match tracing with
       | Some ctx ->
           Agg_obs.Trace_ctx.push ctx ~cat:"degraded"
-            (Printf.sprintf "degraded f%d" file)
+            (Printf.sprintf "degraded f%d" st.raw.(file))
             ~dur_ms:fallback
       | None -> ());
       waited +. fallback
@@ -317,7 +318,7 @@ let access st file =
     else remote_fetch st ~time ~tracing file
   in
   (match Agg_obs.Scope.trace_ctx st.config.scope with
-  | Some ctx -> Agg_obs.Trace_ctx.commit ctx ~request:time ~file ~latency_ms:latency
+  | Some ctx -> Agg_obs.Trace_ctx.commit ctx ~request:time ~file:st.raw.(file) ~latency_ms:latency
   | None -> ());
   (match Agg_obs.Scope.series st.config.scope with
   | Some s ->
@@ -327,9 +328,15 @@ let access st file =
   | None -> ());
   Agg_util.Latencies.push st.latencies latency
 
+(* The replay runs on dense ids (see [Trace.dense_ids]), so every table
+   indexed by file id is sized by the trace, not by its largest raw id. *)
 let run config trace =
-  let st = make_state config in
-  Agg_trace.Trace.iter (fun (e : Agg_trace.Event.t) -> access st e.Agg_trace.Event.file) trace;
+  validate config;
+  let ids, raw = Agg_trace.Trace.dense_ids trace in
+  let st = make_state config ~raw in
+  for i = 0 to Array.length ids - 1 do
+    access st ids.(i)
+  done;
   {
     accesses = Agg_util.Latencies.length st.latencies;
     client_hits = st.client_hits;

@@ -77,6 +77,13 @@ val run : config -> Agg_trace.Trace.t -> result
 (** Replays the trace through the configured path. Deterministic: the
     fault plan is a pure function of its seed and the access index, so
     results are identical run-to-run and for any [--jobs] value.
+
+    The replay runs on {!Agg_trace.Trace.dense_ids}, so memory follows
+    the number of distinct files, not the largest id: a sparse real
+    trace costs what its dense relabelling does, and the result is the
+    same for any injective relabelling of the ids. Every id the scope
+    sees — event payloads, span names, the trace context's [~file] — is
+    the trace's raw id.
     @raise Invalid_argument on non-positive capacities, an invalid
     scheme, fault plan or resilience policy (see
     {!Agg_faults.Plan.validate} and {!Agg_faults.Resilience.validate}). *)

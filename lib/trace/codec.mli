@@ -7,7 +7,24 @@
     undeclared files are unit-weighted, and sizes/costs must be positive.
     Real traces (e.g. converted DFSTrace output) in this format can be
     replayed through every experiment in place of the synthetic
-    workloads. *)
+    workloads.
+
+    {b Reading.} One byte scanner serves every reader: the channel
+    readers refill a 64 KiB chunk buffer through [input] (it grows only
+    to hold a single longer line), and {!of_string} scans its string in
+    place. A canonical event line — [DIGITS SP op SP DIGITS SP DIGITS]
+    with at most 18 digits per field, exactly what the writer emits — is
+    parsed in place, allocating only the {!Event.t}. Every other line
+    (the header, comments, blank lines, weight lines, extra or other
+    whitespace, CR, signs, [0x] or [_] literals, 19 or more digits) goes
+    to the one general line parser. So the accepted language and every
+    [line N:] error message are those of the line-at-a-time reader this
+    scanner replaced; [Agg_oracle.Model_codec] keeps that reader, and
+    the [@differential] gate runs the two in lockstep.
+
+    {b Writing.} {!write_channel} and {!to_string} share one emitter:
+    decimals are formatted by hand into a [Buffer], flushed to the
+    channel every 64 KiB. *)
 
 exception Parse_error of { line : int; message : string }
 
@@ -43,9 +60,9 @@ val read_file_weighted : string -> Trace.t * Weights.t
     @raise Sys_error when the file cannot be read. *)
 
 val fold_channel : in_channel -> init:'a -> f:('a -> Event.t -> 'a) -> 'a
-(** Streaming reader: folds over events one line at a time without
-    materialising a {!Trace.t} — for traces larger than memory. Weight
-    lines are validated and skipped.
+(** Streaming reader: folds over events without materialising a
+    {!Trace.t} — for traces larger than memory, which it reads in
+    64 KiB chunks. Weight lines are validated and skipped.
     @raise Parse_error on malformed input. *)
 
 val fold_file : string -> init:'a -> f:('a -> Event.t -> 'a) -> 'a

@@ -13,7 +13,26 @@ let get t i = Vec.get t.events i
 let iter f t = Vec.iter f t.events
 let fold f acc t = Vec.fold f acc t.events
 
-let files t = Array.map (fun (e : Event.t) -> e.file) (Vec.to_array t.events)
+let files t = Array.init (length t) (fun i -> (Vec.get t.events i).file)
+
+let dense_ids t =
+  let n = length t in
+  let ids = Array.make n 0 in
+  let lo = ref 0 and hi = ref (-1) in
+  for i = 0 to n - 1 do
+    let f = (Vec.get t.events i).file in
+    ids.(i) <- f;
+    if f < !lo then lo := f;
+    if f > !hi then hi := f
+  done;
+  if !lo >= 0 && !hi < n then (ids, Array.init (!hi + 1) Fun.id)
+  else begin
+    let interner = File_id.Interner.create () in
+    for i = 0 to n - 1 do
+      ids.(i) <- File_id.Interner.intern interner ids.(i)
+    done;
+    (ids, File_id.Interner.raw_ids interner)
+  end
 
 let of_files ?client fs =
   let t = create () in

@@ -19,6 +19,15 @@ val files : t -> File_id.t array
 (** The bare file-id sequence, in order — what the cache simulators and
     entropy calculations consume. *)
 
+val dense_ids : t -> File_id.t array * File_id.t array
+(** [dense_ids t] is [(ids, raw)]: the trace's file-id sequence over a
+    dense id space, and the dense → raw map, so [raw.(ids.(i))] is event
+    [i]'s file. When every id lies in [\[0, length t)] the ids are
+    already dense enough to index tables directly: [ids] is {!files} and
+    [raw] the identity on [\[0, largest id\]]. Otherwise the ids are
+    interned ({!File_id.Interner}) in first-seen order, and tables
+    indexed by them are sized by the number of distinct files. *)
+
 val of_files : ?client:int -> File_id.t list -> t
 (** A trace of [Open] events over the given file sequence. *)
 

@@ -8,6 +8,8 @@ open Agg_oracle
 module Policy = Agg_cache.Policy
 module Cache = Agg_cache.Cache
 module Successor_list = Agg_successor.Successor_list
+module Codec = Agg_trace.Codec
+module Prng = Agg_util.Prng
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -379,6 +381,76 @@ let group_prefix_property =
           n <= n' && Array.sub short 0 n = Array.sub long 0 n)
         (List.init 12 Fun.id))
 
+(* --- qcheck: the .trc scanner vs the line reader -------------------------- *)
+
+let report = function None -> true | Some detail -> QCheck.Test.fail_report detail
+
+(* Bytes over the codec's alphabet, often behind a header: digits,
+   spaces, tabs, CR, newlines, ops, comment marks, signs and the
+   letters of 0x / w lines. *)
+let codec_bytes_property =
+  QCheck.Test.make ~name:"codec scanner agrees with the line reader on any bytes" ~count:300
+    QCheck.(
+      pair bool
+        (string_gen_of_size (Gen.int_bound 160)
+           (Gen.oneofl (List.of_seq (String.to_seq "0123456789   orw#\n\n\r\t+-x_a")))))
+    (fun (headed, body) ->
+      report (Diff_engine.codec_diff ((if headed then Codec.header ^ "\n" else "") ^ body)))
+
+let codec_mutated_property =
+  QCheck.Test.make ~name:"codec scanner agrees with the line reader on mutated traces" ~count:300
+    QCheck.(triple int (int_range 0 40) (int_range 0 5))
+    (fun (seed, events, mutations) ->
+      report (Diff_engine.codec_diff (Diff_engine.gen_codec_input (Prng.create ~seed ()) ~events ~mutations)))
+
+let codec_chunked_property =
+  QCheck.Test.make ~name:"codec scanner agrees across 64 KiB chunk boundaries" ~count:4
+    QCheck.(pair int (int_range 0 30))
+    (fun (seed, mutations) ->
+      let prng = Prng.create ~seed () in
+      let events = 5_000 + Prng.int prng 3_000 in
+      report (Diff_engine.codec_diff (Diff_engine.gen_codec_input prng ~events ~mutations)))
+
+let codec_writer_property =
+  QCheck.Test.make ~name:"codec writer: to_string = write_channel, and it round-trips" ~count:200
+    QCheck.(
+      pair
+        (small_list (triple (int_range 1 60) (int_range 1 9) (int_range 1 9)))
+        (list_of_size (Gen.int_bound 100) (triple (int_range 0 2) small_nat (map abs int))))
+    (fun (weights, events) ->
+      let trace = Agg_trace.Trace.create () in
+      List.iteri
+        (fun seq (op, client, file) ->
+          let op = match op with 0 -> Agg_trace.Event.Open | 1 -> Agg_trace.Event.Read | _ -> Agg_trace.Event.Write in
+          Agg_trace.Trace.append trace { Agg_trace.Event.seq; op; client; file })
+        events;
+      let ws = Agg_trace.Weights.create () in
+      List.iter (fun (f, size, cost) -> Agg_trace.Weights.set ws f { Policy.size; cost }) weights;
+      report (Diff_engine.codec_write_diff ~weights:ws trace))
+
+(* --- qcheck: Path under an id bijection ------------------------------------ *)
+
+let path_configs = List.concat_map snd Diff_engine.path_relabel_families
+
+(* Streams over 12 files, at least 40 long, so the original ids take
+   Trace.dense_ids' identity branch; the relabelling sends about half
+   of them to 2^40 and beyond, so the relabelled replay interns. *)
+let path_relabel_property =
+  QCheck.Test.make ~name:"Path.result is invariant under an injective id relabelling" ~count:200
+    QCheck.(
+      quad
+        (int_range 0 (List.length path_configs - 1))
+        (pair (int_range 2 12) (int_range 4 30))
+        int
+        (list_of_size (Gen.int_range 40 300) (int_range 0 11)))
+    (fun (k, (client_capacity, server_capacity), seed, files) ->
+      let name, config = List.nth path_configs k in
+      let config = { config with Agg_system.Path.client_capacity; server_capacity } in
+      let relabel = Diff_engine.gen_relabelling (Prng.create ~seed ()) ~universe:12 in
+      match Diff_engine.path_relabel_diff config (Array.of_list files) ~relabel with
+      | None -> true
+      | Some detail -> QCheck.Test.fail_reportf "%s: %s" name detail)
+
 (* --- end-to-end calibrated-trace differential (small budget) ---------- *)
 
 let test_trace_checks_small () =
@@ -427,6 +499,11 @@ let qcheck_tests =
       group_property Successor_list.Recency "recency";
       group_property Successor_list.Frequency "frequency";
       group_prefix_property;
+      codec_bytes_property;
+      codec_mutated_property;
+      codec_chunked_property;
+      codec_writer_property;
+      path_relabel_property;
     ]
 
 let () =

@@ -384,6 +384,37 @@ let test_exec_trace_file_errors () =
             (contains ~needle:bad msg
             && contains ~needle:"line 2" msg))
 
+(* A sparse file id must cost memory for the files the trace touches, not
+   for the size of the id: the id 400000000 once made the path replay
+   allocate tables indexed up to it and die with Out_of_memory. *)
+let test_exec_sparse_id_path () =
+  let trc = Filename.temp_file "sparse" ".trc" in
+  Out_channel.with_open_text trc (fun oc ->
+      output_string oc "#aggtrace v1\n0 o 0 400000000\n1 o 0 7\n2 o 0 400000000\n");
+  Fun.protect
+    ~finally:(fun () -> Sys.remove trc)
+    (fun () ->
+      let s =
+        {
+          base with
+          Scenario.workload = Scenario.Trace_file { file = trc };
+          topology = Scenario.Path { client_capacity = 300; server_capacity = 1000 };
+          invariants = [ Scenario.Conservation ];
+        }
+      in
+      (* an empty minor heap: objects allocated before the window are
+         not promoted, and so not counted, inside it *)
+      Gc.full_major ();
+      let before = Gc.allocated_bytes () in
+      let o = run_ok s in
+      let allocated = Gc.allocated_bytes () -. before in
+      check_bool "all invariants pass" true o.Exec.pass;
+      check_int "three accesses" 3 o.Exec.events;
+      (* 0.84 MB, most of it the two cells' fixed-size tracker and
+         cache tables *)
+      if allocated > 1_048_576.0 then
+        Alcotest.failf "sparse-id path scenario allocated %.0f bytes, ceiling 1 MiB" allocated)
+
 let test_exec_unknown_profile () =
   match Exec.run { base with Scenario.workload = Scenario.Profile { profile = "nope"; events = 100; seed = 1 } } with
   | Ok _ -> Alcotest.fail "expected an unknown-profile error"
@@ -642,6 +673,7 @@ let () =
           Alcotest.test_case "expectation failure" `Quick test_exec_expectation_failure;
           Alcotest.test_case "trace file errors" `Quick test_exec_trace_file_errors;
           Alcotest.test_case "unknown profile" `Quick test_exec_unknown_profile;
+          Alcotest.test_case "sparse-id path" `Quick test_exec_sparse_id_path;
           Alcotest.test_case "slo pass and fail" `Quick test_exec_slo_pass_and_fail;
           Alcotest.test_case "slo after skips warmup" `Quick test_exec_slo_after_skips_warmup;
         ] );

@@ -407,6 +407,37 @@ let test_alloc_path_agg_both () =
      at 5.9 words per access when the ceiling was set. *)
   check_ceiling "Path.run Aggregating_both" ~ceiling:10.0 words
 
+(* [Gc.minor_words] misses arrays over 256 words, which go straight to
+   the major heap: the replay's id arrays, the interner's tables and
+   every table regrown by file id. [Gc.allocated_bytes] sees them all.
+   It also counts objects promoted out of the minor heap, so the window
+   starts with an empty one. *)
+let bytes_per ~accesses f =
+  Gc.full_major ();
+  let b0 = Gc.allocated_bytes () in
+  f ();
+  (Gc.allocated_bytes () -. b0) /. float_of_int accesses
+
+(* The server stream with every id sent far past 2^40, injectively: the
+   replay must intern, and its tables must be sized by the 5k distinct
+   files, not by the ids. *)
+let test_alloc_path_bytes_dense_and_sparse () =
+  let trace = Agg_workload.Generator.generate ~seed:1 ~events:60_000 Agg_workload.Profile.server in
+  let sparse = Agg_trace.Trace.create () in
+  Agg_trace.Trace.iter
+    (fun (e : Agg_trace.Event.t) -> Agg_trace.Trace.append sparse { e with file = (e.file * 1_000_003) + (1 lsl 40) })
+    trace;
+  let config = Path.with_deployment `Aggregating_both Path.default_config in
+  let run t = bytes_per ~accesses:60_000 (fun () -> ignore (Sys.opaque_identity (Path.run config t))) in
+  let dense_bytes = run trace and sparse_bytes = run sparse in
+  (* measured at 103.8 (dense) and 93.4 (sparse) bytes per access when
+     the ceilings were set *)
+  if not (dense_bytes <= 128.0) then
+    Alcotest.failf "Path.run dense: %.1f bytes per access, ceiling 128" dense_bytes;
+  if not (sparse_bytes <= dense_bytes +. 16.0) then
+    Alcotest.failf "Path.run sparse: %.1f bytes per access, ceiling dense (%.1f) + 16" sparse_bytes
+      dense_bytes
+
 let () =
   Alcotest.run "agg_system"
     [
@@ -445,6 +476,7 @@ let () =
           Alcotest.test_case "tracker observe" `Quick test_alloc_tracker_observe;
           Alcotest.test_case "client g5 hits" `Quick test_alloc_client_g5_hits;
           Alcotest.test_case "path agg-both ceiling" `Quick test_alloc_path_agg_both;
+          Alcotest.test_case "path bytes dense and sparse" `Quick test_alloc_path_bytes_dense_and_sparse;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]
