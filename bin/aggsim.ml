@@ -271,6 +271,7 @@ let differential_cmd =
       @ Agg_oracle.Diff_engine.trace_checks ~seed ~events
       @ Agg_oracle.Diff_engine.codec_checks ~seed ~ops
       @ Agg_oracle.Diff_engine.path_relabel_checks ~seed ~ops
+      @ Agg_oracle.Diff_engine.placement_checks ~seed ~ops
     in
     (* Full-report invariance under --jobs: the sweep engine must produce
        bit-identical results whether cells run sequentially or on a domain

@@ -124,6 +124,21 @@ if grep -nE 'Group_builder\.build|Array\.sort compare' lib/system/path.ml lib/cl
   exit 1
 fi
 
+# The cluster's miss path reads replication groups from its per-file
+# placement table (filled by Ring.fill_group) and scans a node array; the
+# list-building Ring.group, List.nth and List.find_opt with a closure
+# would bring the per-miss allocation back. Fault decisions and file
+# positions are single draws (Prng.seeded_bits62 / derived_bits62): a
+# throwaway generator per query boxes its whole state. Only the ring's
+# construction builds generators.
+if grep -nE 'Ring\.group|List\.nth|List\.find_opt' lib/cluster/cluster.ml \
+  || grep -nE 'Prng\.create|Prng\.bits64 \(Prng\.derive' lib/faults/plan.ml \
+  || grep -nE 'Prng\.create|Prng\.bits64 \(Prng\.derive' lib/cluster/ring.ml \
+    | grep -v 'let base = Prng.create ~seed () in'; then
+  echo "ci.sh: the cluster miss path must use its placement table and single draws (see matches above)" >&2
+  exit 1
+fi
+
 if [ "${1:-}" = "--fast" ]; then
   dune build @all
   dune build @runtest-fast
@@ -166,6 +181,18 @@ if ! sparse_out=$( (ulimit -v 3000000; ./_build/default/bin/aggsim.exe scenario 
   || printf '%s' "$sparse_out" | grep -q 'uncaught exception'; then
   printf '%s\n' "$sparse_out" >&2
   echo "ci.sh: the sparse-id path scenario failed under ulimit -v 3000000" >&2
+  rm -rf "$sparse_dir"
+  exit 1
+fi
+
+# The same trace through a replicated cluster: the cluster replay once
+# sized its caches and tables by the raw id and died the same way.
+printf '#scenario v1\nname sparse-id-cluster\nworkload trace file=%s\ntopology cluster nodes=3 replicas=2 placement=group ring_seed=23 clients=2 client_capacity=150 node_capacity=300\npolicy lru\npolicy g5\ninvariant conservation\n' \
+  "$sparse_dir/sparse.trc" > "$sparse_dir/sparse-cluster.scn"
+if ! sparse_out=$( (ulimit -v 3000000; ./_build/default/bin/aggsim.exe scenario run --file "$sparse_dir/sparse-cluster.scn") 2>&1 ) \
+  || printf '%s' "$sparse_out" | grep -q 'uncaught exception'; then
+  printf '%s\n' "$sparse_out" >&2
+  echo "ci.sh: the sparse-id cluster scenario failed under ulimit -v 3000000" >&2
   rm -rf "$sparse_dir"
   exit 1
 fi

@@ -104,7 +104,19 @@ type state = {
   base_plan : Plan.t;  (** client crashes and node 0 — the configured plan verbatim *)
   client_states : client_state array;
   mutable ring : Ring.t;
-  mutable node_states : node_state list;  (** sorted by [node_id] *)
+  mutable node_states : node_state array;  (** sorted by [node_id] *)
+  raw : int array;  (** dense id -> raw id: the replay runs on dense ids, the ring hashes raw ones *)
+  (* The placement table: file [f]'s replication group under the current
+     ring is [placement.(f * stride .. f * stride + stride - 1)], valid
+     when [placed.(f) = epoch]. Filled on first use; a churn op changes
+     the ring and the live k, so it bumps [epoch] (emptying the table in
+     O(1)) and resets [stride] to the new k. *)
+  mutable placement : int array;
+  placed : int array;
+  mutable epoch : int;
+  mutable stride : int;
+  mutable ring_buf : int array;  (** [Ring.fill_group]'s output, [stride] long *)
+  audit : (Ring.t -> int -> int list -> unit) option;
   mutable pending_churn : (int * churn_op) list;  (** sorted by time *)
   mutable retired : (int * int) list;  (** departed nodes' request counts *)
   counters : Counters.t;
@@ -177,13 +189,14 @@ let make_client_tracker metadata_config =
 let group_size scheme =
   match Scheme.group_config scheme with Some c -> c.Agg_core.Config.group_size | None -> 1
 
-let make_state config =
+let make_state ?audit config ~raw =
   validate config;
   let metadata_config =
     match (Scheme.group_config config.client_scheme, Scheme.group_config config.node_scheme) with
     | Some c, _ | _, Some c -> c
     | None, None -> Agg_core.Config.default
   in
+  let k = min config.replicas config.nodes in
   {
     config;
     metadata_config;
@@ -199,7 +212,14 @@ let make_state config =
             hits = 0;
           });
     ring = Ring.create ~seed:config.ring_seed ~nodes:config.nodes ();
-    node_states = List.init config.nodes (make_node config metadata_config);
+    node_states = Array.init config.nodes (make_node config metadata_config);
+    raw;
+    placement = Array.make (k * Array.length raw) 0;
+    placed = Array.make (Array.length raw) (-1);
+    epoch = 0;
+    stride = k;
+    ring_buf = Array.make k 0;
+    audit;
     pending_churn = List.stable_sort (fun (a, _) (b, _) -> compare a b) config.churn;
     retired = [];
     counters = Counters.create ();
@@ -219,68 +239,108 @@ let make_state config =
     now = 0;
   }
 
-let node_state st id =
-  match List.find_opt (fun ns -> ns.node_id = id) st.node_states with
-  | Some ns -> ns
-  | None -> invalid_arg (Printf.sprintf "Cluster: node %d has no state" id)
+let rec find_node states id i =
+  if i = Array.length states then invalid_arg (Printf.sprintf "Cluster: node %d has no state" id)
+  else if states.(i).node_id = id then states.(i)
+  else find_node states id (i + 1)
 
-let live_replicas st = min st.config.replicas (Ring.node_count st.ring)
+let node_state st id = find_node st.node_states id 0
+
+(* --- placement --------------------------------------------------------- *)
+
+(* The offset of dense file [f]'s group in [st.placement], filling the
+   entry from the ring (which hashes the raw id) on first use. *)
+let place st f =
+  let base = f * st.stride in
+  if st.placed.(f) <> st.epoch then begin
+    let k = Ring.fill_group st.ring ~replicas:st.stride st.raw.(f) st.ring_buf in
+    for i = 0 to k - 1 do
+      st.placement.(base + i) <- st.ring_buf.(i)
+    done;
+    st.placed.(f) <- st.epoch
+  end;
+  base
+
+(* Does [node] replicate dense file [f]? *)
+let replicates st ~node f =
+  let base = place st f in
+  let found = ref false in
+  for i = base to base + st.stride - 1 do
+    if st.placement.(i) = node then found := true
+  done;
+  !found
+
+(* Install a new ring: every entry of the table goes stale at once. *)
+let set_ring st ring =
+  st.ring <- ring;
+  st.epoch <- st.epoch + 1;
+  let k = min st.config.replicas (Ring.node_count ring) in
+  st.stride <- k;
+  if Array.length st.placement < k * Array.length st.raw then
+    st.placement <- Array.make (k * Array.length st.raw) 0;
+  if Array.length st.ring_buf < k then st.ring_buf <- Array.make k 0
+
+(* Hand every filled entry, with its raw id and the ring it must match,
+   to the audit hook (see [audit_placement]). *)
+let audit_table st =
+  match st.audit with
+  | None -> ()
+  | Some check ->
+      for f = 0 to Array.length st.placed - 1 do
+        if st.placed.(f) = st.epoch then
+          check st.ring st.raw.(f) (Array.to_list (Array.sub st.placement (f * st.stride) st.stride))
+      done
 
 (* --- churn ------------------------------------------------------------- *)
-
-let insert_node_sorted node_states fresh =
-  List.stable_sort (fun a b -> compare a.node_id b.node_id) (fresh :: node_states)
 
 let apply_op st op =
   match op with
   | Join node ->
       let ring = Ring.add st.ring node in
-      let k = min st.config.replicas (Ring.node_count ring) in
       let fresh = make_node st.config st.metadata_config node in
+      set_ring st ring;
       let moved = ref 0 in
       (* Every existing node drops the cached files the new ring takes out
          of its group; those now owned by the joiner are handed over cold.
          Consistent hashing keeps this minimal: only groups that gained
          [node] change at all. *)
-      List.iter
+      Array.iter
         (fun ns ->
           List.iter
             (fun f ->
-              if not (List.mem ns.node_id (Ring.group ring ~replicas:k f)) then begin
+              if not (replicates st ~node:ns.node_id f) then begin
                 Cache.remove ns.cache f;
-                if List.mem node (Ring.group ring ~replicas:k f) && not (Cache.mem fresh.cache f)
-                then Cache.insert_cold fresh.cache f;
+                if replicates st ~node f && not (Cache.mem fresh.cache f) then
+                  Cache.insert_cold fresh.cache f;
                 incr moved
               end)
             (Cache.contents ns.cache))
         st.node_states;
-      st.ring <- ring;
-      st.node_states <- insert_node_sorted st.node_states fresh;
+      let states = Array.append st.node_states [| fresh |] in
+      Array.stable_sort (fun a b -> compare a.node_id b.node_id) states;
+      st.node_states <- states;
       st.rebalances <- st.rebalances + 1;
       st.moved_files <- st.moved_files + !moved;
       if Sink.enabled (Agg_obs.Scope.sink st.config.scope) then
         Sink.emit (Agg_obs.Scope.sink st.config.scope) (Agg_obs.Event.Ring_rebalance { node; joined = true; moved = !moved })
   | Leave node ->
       let ring = Ring.remove st.ring node in
-      let k = min st.config.replicas (Ring.node_count ring) in
       let departing = node_state st node in
-      st.node_states <- List.filter (fun ns -> ns.node_id <> node) st.node_states;
+      st.node_states <-
+        Array.of_list (List.filter (fun ns -> ns.node_id <> node) (Array.to_list st.node_states));
+      set_ring st ring;
       let moved = ref 0 in
       (* The departing node hands each cached file to the file's new
          primary; its successor metadata leaves with it (the Owner_node
          placement pays for that, Replicated_with_group does not). *)
       List.iter
         (fun f ->
-          match Ring.group ring ~replicas:k f with
-          | target :: _ ->
-              let ts = node_state st target in
-              if not (Cache.mem ts.cache f) then begin
-                Cache.insert_cold ts.cache f;
-                incr moved
-              end
-          | [] -> ())
+          let ts = node_state st st.placement.(place st f) in
+          if not (Cache.mem ts.cache f) then begin
+            Cache.insert_cold ts.cache f;
+            incr moved
+          end)
         (Cache.contents departing.cache);
-      st.ring <- ring;
       st.retired <- (node, departing.requests) :: st.retired;
       st.rebalances <- st.rebalances + 1;
       st.moved_files <- st.moved_files + !moved;
@@ -292,31 +352,34 @@ let rec apply_churn st ~time =
   match st.pending_churn with
   | (t, op) :: rest when t <= time ->
       st.pending_churn <- rest;
+      audit_table st;
       apply_op st op;
+      audit_table st;
       apply_churn st ~time
   | _ -> ()
 
 (* --- serving ----------------------------------------------------------- *)
 
 let invalidate_others st ~writer file =
-  Array.iteri
-    (fun i cs ->
-      if i <> writer && Cache.mem cs.cache file then begin
-        Cache.remove cs.cache file;
-        st.invalidations <- st.invalidations + 1
-      end)
-    st.client_states
+  for i = 0 to Array.length st.client_states - 1 do
+    let cs = st.client_states.(i) in
+    if i <> writer && Cache.mem cs.cache file then begin
+      Cache.remove cs.cache file;
+      st.invalidations <- st.invalidations + 1
+    end
+  done
 
 (* The resilience loop (see Path.attempt_fetch) with one extension:
    attempt [a] targets group member [a mod k], so exhausting one node's
    retry fails over to the next replica instead of re-asking the dead one.
    At k = 1 every attempt re-asks the primary. Returns the number of
    failed attempts, as Path.attempt_fetch does: at most [max_retries]
-   means attempt [failures] was served by member [failures mod k]. *)
-let rec attempt_route st ~group_nodes ~time ~attempt ~file =
+   means attempt [failures] was served by member [failures mod k]. The
+   group is [st.placement.(base .. base + st.stride - 1)]. *)
+let rec attempt_route st ~base ~time ~attempt ~file =
   let r = st.config.resilience in
-  let len = List.length group_nodes in
-  let target = List.nth group_nodes (attempt mod len) in
+  let k = st.stride in
+  let target = st.placement.(base + (attempt mod k)) in
   let plan = (node_state st target).plan in
   let down = Plan.server_down plan ~time in
   if not (down || Plan.message_lost plan ~time ~attempt) then attempt
@@ -325,17 +388,18 @@ let rec attempt_route st ~group_nodes ~time ~attempt ~file =
     else st.counters.Counters.lost_messages <- st.counters.Counters.lost_messages + 1;
     st.counters.Counters.timeouts <- st.counters.Counters.timeouts + 1;
     if Sink.enabled (Agg_obs.Scope.sink st.config.scope) then
-      Sink.emit (Agg_obs.Scope.sink st.config.scope) (Agg_obs.Event.Fetch_timeout { file; attempt });
+      Sink.emit (Agg_obs.Scope.sink st.config.scope)
+        (Agg_obs.Event.Fetch_timeout { file = st.raw.(file); attempt });
     if attempt < r.Resilience.max_retries then begin
       st.counters.Counters.retries <- st.counters.Counters.retries + 1;
-      let next = List.nth group_nodes ((attempt + 1) mod len) in
+      let next = st.placement.(base + ((attempt + 1) mod k)) in
       if next <> target then begin
         st.failovers <- st.failovers + 1;
         if Sink.enabled (Agg_obs.Scope.sink st.config.scope) then
           Sink.emit (Agg_obs.Scope.sink st.config.scope)
-            (Agg_obs.Event.Replica_failover { file; failed = target; target = next })
+            (Agg_obs.Event.Replica_failover { file = st.raw.(file); failed = target; target = next })
       end;
-      attempt_route st ~group_nodes ~time ~attempt:(attempt + 1) ~file
+      attempt_route st ~base ~time ~attempt:(attempt + 1) ~file
     end
     else attempt + 1
   end
@@ -344,11 +408,11 @@ let rec attempt_route st ~group_nodes ~time ~attempt ~file =
    the trace context: per failed attempt, its timeout budget, the backoff
    before the retry, and a zero-width ["route"] marker when the retry
    fails over to another replica. *)
-let push_route_phases ctx st ~group_nodes ~failures =
+let push_route_phases ctx st ~base ~failures =
   let r = st.config.resilience in
-  let len = List.length group_nodes in
+  let k = st.stride in
   for a = 0 to failures - 1 do
-    let target = List.nth group_nodes (a mod len) in
+    let target = st.placement.(base + (a mod k)) in
     Agg_obs.Trace_ctx.push ctx ~cat:"timeout"
       (Printf.sprintf "attempt%d n%d" a target)
       ~dur_ms:r.Resilience.timeout_ms;
@@ -356,7 +420,7 @@ let push_route_phases ctx st ~group_nodes ~failures =
       Agg_obs.Trace_ctx.push ctx ~cat:"backoff"
         (Printf.sprintf "backoff%d" (a + 1))
         ~dur_ms:(Resilience.backoff_ms r ~attempt:(a + 1));
-      let next = List.nth group_nodes ((a + 1) mod len) in
+      let next = st.placement.(base + ((a + 1) mod k)) in
       if next <> target then
         Agg_obs.Trace_ctx.push ctx ~cat:"route"
           (Printf.sprintf "failover n%d->n%d" target next)
@@ -366,20 +430,21 @@ let push_route_phases ctx st ~group_nodes ~failures =
 
 let serve st ~client ~time ~tracing file =
   st.server_requests <- st.server_requests + 1;
-  let k = live_replicas st in
-  let group_nodes = Ring.group st.ring ~replicas:k file in
-  let primary = List.hd group_nodes in
+  let base = place st file in
+  let primary = st.placement.(base) in
   let cs = st.client_states.(client) in
   (* §3: the miss is piggy-backed to wherever the metadata lives *)
   (match st.config.metadata with
-  | Owner_node -> Tracker.observe (node_state st primary).tracker ~client file
+  | Owner_node -> Tracker.observe_client (node_state st primary).tracker ~client file
   | Replicated_with_group ->
-      List.iter (fun n -> Tracker.observe (node_state st n).tracker ~client file) group_nodes
-  | Client_side -> Tracker.observe cs.tracker file);
+      for i = base to base + st.stride - 1 do
+        Tracker.observe_client (node_state st st.placement.(i)).tracker ~client file
+      done
+  | Client_side -> Tracker.observe_client cs.tracker ~client:0 file);
   let failures =
-    if not (Plan.enabled st.base_plan) then 0 else attempt_route st ~group_nodes ~time ~attempt:0 ~file
+    if not (Plan.enabled st.base_plan) then 0 else attempt_route st ~base ~time ~attempt:0 ~file
   in
-  (match tracing with Some ctx -> push_route_phases ctx st ~group_nodes ~failures | None -> ());
+  (match tracing with Some ctx -> push_route_phases ctx st ~base ~failures | None -> ());
   let waited = Resilience.waited_ms st.config.resilience ~failures in
   match failures with
   | failures when failures > st.config.resilience.Resilience.max_retries ->
@@ -387,7 +452,8 @@ let serve st ~client ~time ~tracing file =
          fallback through the primary. *)
       st.counters.Counters.degraded_fetches <- st.counters.Counters.degraded_fetches + 1;
       if Sink.enabled (Agg_obs.Scope.sink st.config.scope) then
-        Sink.emit (Agg_obs.Scope.sink st.config.scope) (Agg_obs.Event.Fetch_degraded { file; dropped = 0 });
+        Sink.emit (Agg_obs.Scope.sink st.config.scope)
+          (Agg_obs.Event.Fetch_degraded { file = st.raw.(file); dropped = 0 });
       let ns = node_state st primary in
       ns.requests <- ns.requests + 1;
       (match Agg_obs.Scope.series st.config.scope with
@@ -405,17 +471,18 @@ let serve st ~client ~time ~tracing file =
       (match tracing with
       | Some ctx ->
           Agg_obs.Trace_ctx.push ctx ~cat:"degraded"
-            (Printf.sprintf "degraded f%d@n%d" file primary)
+            (Printf.sprintf "degraded f%d@n%d" st.raw.(file) primary)
             ~dur_ms:fallback
       | None -> ());
       waited +. fallback
   | attempt ->
-      let node = List.nth group_nodes (attempt mod List.length group_nodes) in
+      let node = st.placement.(base + (attempt mod st.stride)) in
       let ns = node_state st node in
       st.routed_fetches <- st.routed_fetches + 1;
       ns.requests <- ns.requests + 1;
       if Sink.enabled (Agg_obs.Scope.sink st.config.scope) then
-        Sink.emit (Agg_obs.Scope.sink st.config.scope) (Agg_obs.Event.Node_routed { file; node });
+        Sink.emit (Agg_obs.Scope.sink st.config.scope)
+          (Agg_obs.Event.Node_routed { file = st.raw.(file); node });
       (match Agg_obs.Scope.series st.config.scope with
       | Some s -> Agg_obs.Series.observe_node s ~index:time ~node
       | None -> ());
@@ -456,7 +523,7 @@ let serve st ~client ~time ~tracing file =
          come straight off the store and are never staged here *)
       for i = 1 to n - 1 do
         let m = st.group.(i) in
-        if List.mem node (Ring.group st.ring ~replicas:k m) then begin
+        if replicates st ~node m then begin
           if not (Cache.mem ns.cache m) then begin
             st.store_fetches <- st.store_fetches + 1;
             Cache.insert_cold ns.cache m
@@ -484,12 +551,12 @@ let serve st ~client ~time ~tracing file =
       (match tracing with
       | Some ctx ->
           Agg_obs.Trace_ctx.push ctx ~cat:"fetch"
-            (Printf.sprintf "fetch f%d@n%d" file node)
+            (Printf.sprintf "fetch f%d@n%d" st.raw.(file) node)
             ~dur_ms:served_ms
       | None -> ());
       waited +. served_ms
 
-let access st (e : Agg_trace.Event.t) =
+let access st (e : Agg_trace.Event.t) file =
   let time = st.now in
   st.now <- time + 1;
   apply_churn st ~time;
@@ -509,7 +576,6 @@ let access st (e : Agg_trace.Event.t) =
       Sink.emit (Agg_obs.Scope.sink st.config.scope) (Agg_obs.Event.Client_crashed { client; wiped })
   end;
   cs.accesses <- cs.accesses + 1;
-  let file = e.Agg_trace.Event.file in
   let tracing =
     match Agg_obs.Scope.trace_ctx st.config.scope with
     | Some ctx when Agg_obs.Trace_ctx.sampled ctx ~request:time -> Some ctx
@@ -528,7 +594,7 @@ let access st (e : Agg_trace.Event.t) =
     else serve st ~client ~time ~tracing file
   in
   (match Agg_obs.Scope.trace_ctx st.config.scope with
-  | Some ctx -> Agg_obs.Trace_ctx.commit ctx ~request:time ~file ~latency_ms:latency
+  | Some ctx -> Agg_obs.Trace_ctx.commit ctx ~request:time ~file:st.raw.(file) ~latency_ms:latency
   | None -> ());
   (match Agg_obs.Scope.series st.config.scope with
   | Some s ->
@@ -541,7 +607,10 @@ let access st (e : Agg_trace.Event.t) =
     invalidate_others st ~writer:client file
 
 let per_node_requests st =
-  let all = List.rev_append st.retired (List.map (fun ns -> (ns.node_id, ns.requests)) st.node_states) in
+  let all =
+    List.rev_append st.retired
+      (Array.to_list (Array.map (fun ns -> (ns.node_id, ns.requests)) st.node_states))
+  in
   let sorted = List.sort compare all in
   (* a node that left and re-joined appears twice: sum per id *)
   List.fold_left
@@ -550,9 +619,16 @@ let per_node_requests st =
     [] sorted
   |> List.rev
 
-let run config trace =
-  let st = make_state config in
-  Agg_trace.Trace.iter (access st) trace;
+(* The replay runs on dense ids (see [Trace.dense_ids]), so the caches,
+   trackers and placement table are sized by the trace, not by its
+   largest raw id; the ring and every emitted id see the raw id. *)
+let replay ?audit config trace =
+  let ids, raw = Agg_trace.Trace.dense_ids trace in
+  let st = make_state ?audit config ~raw in
+  for i = 0 to Array.length ids - 1 do
+    access st (Agg_trace.Trace.get trace i) ids.(i)
+  done;
+  audit_table st;
   let accesses = Array.fold_left (fun acc cs -> acc + cs.accesses) 0 st.client_states in
   let client_hits = Array.fold_left (fun acc cs -> acc + cs.hits) 0 st.client_states in
   {
@@ -576,6 +652,9 @@ let run config trace =
     per_node_requests = per_node_requests st;
     faults = st.counters;
   }
+
+let run config trace = replay config trace
+let audit_placement config trace check = replay ~audit:check config trace
 
 let client_hit_rate (r : result) = Agg_util.Stats.ratio r.client_hits r.accesses
 let server_hit_rate (r : result) = Agg_util.Stats.ratio r.server_hits r.server_requests

@@ -125,10 +125,23 @@ type result = {
 
 val run : config -> Agg_trace.Trace.t -> result
 (** Replays the trace through the fleet-and-cluster pair. Deterministic.
+    The replay runs on {!Agg_trace.Trace.dense_ids}, so its memory is
+    proportional to the number of distinct files, not to the largest
+    id; the ring hashes, and every event and span names, the raw id.
     @raise Invalid_argument on an invalid config (non-positive counts or
     capacities, bad scheme/plan/resilience, negative churn time) or an
     inapplicable churn op (joining a present node, leaving an absent or
     the last node). *)
+
+val audit_placement : config -> Agg_trace.Trace.t -> (Ring.t -> int -> int list -> unit) -> result
+(** [audit_placement config trace check] is [run config trace], and it
+    hands every filled entry of the replay's per-file placement table to
+    [check ring file group] before and after each churn op and after the
+    last access: [file] is the raw id, [group] the entry and [ring] the
+    ring the entry must have been filled from. The lockstep checks
+    require [group = Ring.group ring ~replicas:k file] with
+    [k = min config.replicas (Ring.node_count ring)] on every call.
+    @raise Invalid_argument as {!run}, and whatever [check] raises. *)
 
 val client_hit_rate : result -> float
 val server_hit_rate : result -> float

@@ -4,6 +4,7 @@ type t = {
   seed : int;
   points_per_node : int;
   members : int list;
+  count : int;  (** [List.length members] *)
   points : int array;
   owners : int array;
   (* Parent stream for per-file hashes; [Prng.derive] never advances it,
@@ -12,10 +13,7 @@ type t = {
   file_stream : Prng.t;
 }
 
-let mask62 bits = Int64.to_int (Int64.shift_right_logical bits 2)
-
-let point_position base ~node ~index =
-  mask62 (Prng.bits64 (Prng.derive (Prng.derive base node) index))
+let point_position base ~node ~index = Prng.derived_bits62 (Prng.derive base node) index
 
 let build ~seed ~points_per_node members =
   let base = Prng.create ~seed () in
@@ -27,10 +25,12 @@ let build ~seed ~points_per_node members =
   in
   let arr = Array.of_list pairs in
   Array.sort compare arr;
+  let members = List.sort_uniq compare members in
   {
     seed;
     points_per_node;
-    members = List.sort_uniq compare members;
+    members;
+    count = List.length members;
     points = Array.map fst arr;
     owners = Array.map snd arr;
     file_stream = Prng.derive base (-1);
@@ -44,7 +44,7 @@ let create ?(points_per_node = 64) ~seed ~nodes () =
 let seed t = t.seed
 let points_per_node t = t.points_per_node
 let members t = t.members
-let node_count t = List.length t.members
+let node_count t = t.count
 let contains t node = List.mem node t.members
 
 let add t node =
@@ -59,7 +59,7 @@ let remove t node =
   build ~seed:t.seed ~points_per_node:t.points_per_node
     (List.filter (fun m -> m <> node) t.members)
 
-let file_position t file = mask62 (Prng.bits64 (Prng.derive t.file_stream file))
+let file_position t file = Prng.derived_bits62 t.file_stream file
 
 (* Index of the first point at or after [position], wrapping to 0. *)
 let successor_index t position =
@@ -73,19 +73,35 @@ let successor_index t position =
 
 let owner t file = t.owners.(successor_index t (file_position t file))
 
+(* Walk clockwise from the file's position, keeping each node the first
+   time it is met; the duplicate check scans the [found] nodes kept so
+   far (at most [replicas], single digits in practice). *)
+let fill_group t ~replicas file buf =
+  if replicas <= 0 then invalid_arg "Ring.fill_group: replicas must be positive";
+  let want = min replicas t.count in
+  if Array.length buf < want then invalid_arg "Ring.fill_group: buffer shorter than the group";
+  let n = Array.length t.points in
+  let start = successor_index t (file_position t file) in
+  let found = ref 0 and offset = ref 0 in
+  while !found < want do
+    let node = t.owners.((start + !offset) mod n) in
+    let seen = ref false in
+    for i = 0 to !found - 1 do
+      if buf.(i) = node then seen := true
+    done;
+    if not !seen then begin
+      buf.(!found) <- node;
+      incr found
+    end;
+    incr offset
+  done;
+  want
+
 let group t ~replicas file =
   if replicas <= 0 then invalid_arg "Ring.group: replicas must be positive";
-  let n = Array.length t.points in
-  let want = min replicas (node_count t) in
-  let start = successor_index t (file_position t file) in
-  let rec walk offset acc found =
-    if found = want then List.rev acc
-    else
-      let node = t.owners.((start + offset) mod n) in
-      if List.mem node acc then walk (offset + 1) acc found
-      else walk (offset + 1) (node :: acc) (found + 1)
-  in
-  walk 0 [] 0
+  let buf = Array.make (min replicas t.count) 0 in
+  ignore (fill_group t ~replicas file buf);
+  Array.to_list buf
 
 let pp ppf t =
   Format.fprintf ppf "ring[seed=%d nodes=%a points=%d]" t.seed

@@ -33,6 +33,8 @@ val members : t -> int list
 (** Current member ids, sorted ascending. *)
 
 val node_count : t -> int
+(** Number of members; O(1). *)
+
 val contains : t -> int -> bool
 
 val add : t -> int -> t
@@ -57,5 +59,14 @@ val group : t -> replicas:int -> int -> int list
     every member (clamped, so a shrinking cluster keeps serving).
     [group t ~replicas:1 file = [owner t file]].
     @raise Invalid_argument when [replicas] is not positive. *)
+
+val fill_group : t -> replicas:int -> int -> int array -> int
+(** [fill_group t ~replicas file buf] writes [file]'s replication group
+    into [buf.(0 .. n - 1)] and returns [n = min replicas (node_count t)]:
+    the same nodes in the same order as {!group}, which is a list wrapper
+    over it. Allocates nothing — the cluster's miss path fills its
+    per-file placement table through it.
+    @raise Invalid_argument when [replicas] is not positive or [buf] is
+    shorter than [n]. *)
 
 val pp : Format.formatter -> t -> unit

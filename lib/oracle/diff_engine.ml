@@ -1257,3 +1257,207 @@ let path_relabel_checks ~seed ~ops =
       done;
       match !failure with None -> ok name !cases | Some detail -> fail name !cases detail)
     path_relabel_families
+
+(* --- single draws, ring groups and the cluster placement table ------------- *)
+
+(* Seeds at the edges of the int range, then arbitrary 63-bit ints of
+   either sign. *)
+let edge_ints = [ 0; 1; -1; 2; min_int; max_int; min_int + 1; max_int - 1; 1 lsl 62; -(1 lsl 62) ]
+
+let gen_any_int prng = Int64.to_int (Prng.bits64 prng)
+
+let single_draw_diff ~seed ~index =
+  let fresh = Prng.bits62 (Prng.create ~seed ()) and single = Prng.seeded_bits62 seed in
+  if fresh <> single then
+    Some (Printf.sprintf "seeded_bits62 %d = %d, bits62 (create ~seed) = %d" seed single fresh)
+  else
+    (* a parent one step past its seeding, so all four state words mix *)
+    let parent = Prng.create ~seed () in
+    ignore (Prng.bits64 parent);
+    let derived = Prng.bits62 (Prng.derive parent index)
+    and single = Prng.derived_bits62 parent index in
+    if derived <> single then
+      Some
+        (Printf.sprintf "derived_bits62 (seed %d) %d = %d, bits62 (derive) = %d" seed index single
+           derived)
+    else None
+
+(* The probabilities the fault plans use, plus the two floats on either
+   side of the draw's own unit value, where [<] decides. *)
+let bernoulli_bits_diff ~seed =
+  let bits = Prng.seeded_bits62 seed in
+  let unit = Prng.float (Prng.create ~seed ()) 1.0 in
+  let ps = [ 0.0; 5e-324; 1e-9; 0.05; 0.1; 0.5; 1.0; unit; Float.succ unit; Float.pred unit ] in
+  List.find_map
+    (fun p ->
+      let single = Prng.bernoulli_of_bits62 bits ~p
+      and fresh = Prng.bernoulli (Prng.create ~seed ()) ~p in
+      if single = fresh then None
+      else Some (Printf.sprintf "seed %d p=%h: bernoulli_of_bits62 %b, bernoulli %b" seed p single fresh))
+    ps
+
+module Ring = Agg_cluster.Ring
+module Cluster = Agg_cluster.Cluster
+
+(* A ring after random joins and leaves. *)
+let gen_ring prng =
+  let ring =
+    ref
+      (Ring.create ~points_per_node:(1 + Prng.int prng 16) ~seed:(Prng.int prng 1_000_000)
+         ~nodes:(1 + Prng.int prng 6) ())
+  in
+  for _ = 1 to Prng.int prng 6 do
+    let members = Array.of_list (Ring.members !ring) in
+    if Prng.bool prng && Array.length members > 1 then ring := Ring.remove !ring (Prng.choose prng members)
+    else
+      let node = Prng.int prng 12 in
+      if not (Ring.contains !ring node) then ring := Ring.add !ring node
+  done;
+  !ring
+
+let fill_group_diff ring ~replicas file =
+  let want = min replicas (Ring.node_count ring) in
+  (* a longer, dirty buffer: only its first [want] cells may be written *)
+  let buf = Array.make (want + 2) (-7) in
+  let n = Ring.fill_group ring ~replicas file buf in
+  let filled = Array.to_list (Array.sub buf 0 n) and listed = Ring.group ring ~replicas file in
+  if n <> want || filled <> listed || buf.(want) <> -7 || buf.(want + 1) <> -7 then
+    Some
+      (Format.asprintf "%a replicas=%d file %d: fill_group [%s] (n=%d), group [%s]" Ring.pp ring
+         replicas file (int_list_to_string filled) n (int_list_to_string listed))
+  else None
+
+let placement_diff config trace =
+  let compared = ref 0 and failure = ref None in
+  let check ring file group =
+    incr compared;
+    let k = min config.Cluster.replicas (Ring.node_count ring) in
+    let fresh = Ring.group ring ~replicas:k file in
+    if !failure = None && group <> fresh then
+      failure :=
+        Some
+          (Format.asprintf "%a file %d: table [%s], Ring.group [%s]" Ring.pp ring file
+             (int_list_to_string group) (int_list_to_string fresh))
+  in
+  ignore (Cluster.audit_placement config trace check);
+  (!compared, !failure)
+
+(* A small cluster config over a valid churn schedule: leaves of live
+   members (never the last), joins of absent ids. *)
+let gen_placement_case prng =
+  let events = 50 + Prng.int prng 400 in
+  let nodes = 1 + Prng.int prng 5 in
+  let live = ref (List.init nodes Fun.id) in
+  let churn =
+    List.init (Prng.int prng 5) (fun _ -> Prng.int prng events)
+    |> List.sort compare
+    |> List.map (fun time ->
+           let absent = List.filter (fun n -> not (List.mem n !live)) (List.init 8 Fun.id) in
+           if (Prng.bool prng || absent = []) && List.length !live > 1 then begin
+             let node = List.nth !live (Prng.int prng (List.length !live)) in
+             live := List.filter (( <> ) node) !live;
+             (time, Cluster.Leave node)
+           end
+           else begin
+             let node = List.nth absent (Prng.int prng (List.length absent)) in
+             live := node :: !live;
+             (time, Cluster.Join node)
+           end)
+  in
+  let config =
+    {
+      Cluster.default_config with
+      Cluster.nodes;
+      replicas = 1 + Prng.int prng 4;
+      ring_seed = Prng.int prng 1_000;
+      metadata = Prng.choose prng (Array.of_list Cluster.placements);
+      clients = 1 + Prng.int prng 4;
+      client_capacity = 2 + Prng.int prng 12;
+      node_capacity = 4 + Prng.int prng 24;
+      faults = (if Prng.bool prng then hostile_plan else Agg_faults.Plan.none);
+      churn;
+    }
+  in
+  (* sparse ids half the time, so the replay interns *)
+  let offset = if Prng.bool prng then 1 lsl 40 else 0 in
+  let files = gen_group_stream prng ~count:events in
+  let trace = Trace.create () in
+  Array.iter
+    (fun f ->
+      let op = if Prng.bernoulli prng ~p:0.1 then Agg_trace.Event.Write else Agg_trace.Event.Open in
+      Trace.add_access trace ~client:(Prng.int prng 4) ~op (offset + (f * 7_919)))
+    files;
+  (config, trace)
+
+let churn_to_string churn =
+  String.concat " "
+    (List.map
+       (fun (t, op) ->
+         match op with
+         | Cluster.Join n -> Printf.sprintf "%d:+%d" t n
+         | Cluster.Leave n -> Printf.sprintf "%d:-%d" t n)
+       churn)
+
+let placement_checks ~seed ~ops =
+  let stream name = Prng.derive (Prng.create ~seed ()) (Hashtbl.hash name) in
+  let single_draw =
+    let prng = stream "prng.single_draw" in
+    let seeds = edge_ints @ List.init (max 1 (ops / 10)) (fun _ -> gen_any_int prng) in
+    let failure =
+      List.find_map
+        (fun s ->
+          List.find_map
+            (fun index -> single_draw_diff ~seed:s ~index)
+            (edge_ints @ [ gen_any_int prng; Prng.int prng 64 ]))
+        seeds
+    in
+    let cases = List.length seeds * (List.length edge_ints + 2) in
+    match failure with None -> ok "prng.single_draw" cases | Some d -> fail "prng.single_draw" cases d
+  in
+  let bernoulli =
+    let prng = stream "prng.bernoulli_bits" in
+    let seeds = edge_ints @ List.init (max 1 (ops / 10)) (fun _ -> gen_any_int prng) in
+    match List.find_map (fun s -> bernoulli_bits_diff ~seed:s) seeds with
+    | None -> ok "prng.bernoulli_bits" (List.length seeds)
+    | Some d -> fail "prng.bernoulli_bits" (List.length seeds) d
+  in
+  let fill_group =
+    let prng = stream "ring.fill_group" in
+    let cases = ref 0 and failure = ref None in
+    for _ = 1 to max 1 (ops / 100) do
+      if !failure = None then begin
+        let ring = gen_ring prng in
+        for _ = 1 to 20 do
+          let replicas = 1 + Prng.int prng (Ring.node_count ring + 2) in
+          let file = if Prng.bool prng then Prng.int prng 1_000 else gen_any_int prng in
+          incr cases;
+          if !failure = None then failure := fill_group_diff ring ~replicas file
+        done
+      end
+    done;
+    match !failure with
+    | None -> ok "ring.fill_group" !cases
+    | Some d -> fail "ring.fill_group" !cases (Printf.sprintf "seed=%d %s" seed d)
+  in
+  let placement =
+    let prng = stream "cluster.placement" in
+    let cases = ref 0 and failure = ref None in
+    for _ = 1 to max 1 (ops / 200) do
+      if !failure = None then begin
+        let config, trace = gen_placement_case prng in
+        let compared, diff = placement_diff config trace in
+        cases := !cases + compared;
+        match diff with
+        | None -> ()
+        | Some d ->
+            failure :=
+              Some
+                (Printf.sprintf "seed=%d nodes=%d k=%d churn [%s]: %s" seed config.Cluster.nodes
+                   config.Cluster.replicas (churn_to_string config.Cluster.churn) d)
+      end
+    done;
+    match !failure with
+    | None -> ok "cluster.placement" !cases
+    | Some d -> fail "cluster.placement" !cases d
+  in
+  [ single_draw; bernoulli; fill_group; placement ]

@@ -187,4 +187,44 @@ val path_relabel_checks : seed:int -> ops:int -> check list
     one check per {!path_relabel_families} family, named
     [path.relabel.<family>]. *)
 
+val single_draw_diff : seed:int -> index:int -> string option
+(** [None] when [Prng.seeded_bits62 seed = Prng.bits62 (Prng.create ~seed ())]
+    and [Prng.derived_bits62 p index = Prng.bits62 (Prng.derive p index)]
+    for [p] the generator [Prng.create ~seed ()] after one draw; otherwise
+    the first mismatch. *)
+
+val bernoulli_bits_diff : seed:int -> string option
+(** [None] when [Prng.bernoulli_of_bits62 (Prng.seeded_bits62 seed) ~p]
+    equals [Prng.bernoulli (Prng.create ~seed ()) ~p] for p in
+    \{0, 5e-324, 1e-9, 0.05, 0.1, 0.5, 1\} and for the three floats at
+    and beside the draw's own unit value. *)
+
+val gen_ring : Agg_util.Prng.t -> Agg_cluster.Ring.t
+(** A ring of 1–6 nodes with 1–16 points each, after up to six random
+    joins (ids below 12) and leaves. *)
+
+val fill_group_diff : Agg_cluster.Ring.t -> replicas:int -> int -> string option
+(** [None] when [Ring.fill_group], into a buffer two cells longer than the
+    group, returns [min replicas (node_count ring)], writes exactly
+    [Ring.group ring ~replicas file] and leaves the rest untouched. *)
+
+val placement_diff : Agg_cluster.Cluster.config -> Agg_trace.Trace.t -> int * string option
+(** Replays through {!Agg_cluster.Cluster.audit_placement} and compares
+    every placement-table entry it is handed with a fresh [Ring.group]:
+    the number of entries compared and the first mismatch. *)
+
+val gen_placement_case : Agg_util.Prng.t -> Agg_cluster.Cluster.config * Agg_trace.Trace.t
+(** A small cluster (1–5 nodes, k in 1–4, any metadata placement, healthy
+    or hostile faults) with up to four valid churn ops, and a 50–449
+    event trace over a small universe, with sparse ids (2^40 and up) half
+    the time. *)
+
+val placement_checks : seed:int -> ops:int -> check list
+(** The cluster miss path's primitives against the code they replace:
+    [prng.single_draw] ({!single_draw_diff} over edge ints and arbitrary
+    seeds and indices), [prng.bernoulli_bits] ({!bernoulli_bits_diff}),
+    [ring.fill_group] ({!fill_group_diff} on {!gen_ring} rings, replicas
+    from 1 to members + 2) and [cluster.placement] ({!placement_diff} on
+    {!gen_placement_case} cases). *)
+
 val all_pass : check list -> bool

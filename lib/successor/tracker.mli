@@ -23,6 +23,13 @@ val observe : t -> ?client:int -> Agg_trace.File_id.t -> unit
     of the previously observed file (for this client's context when
     [per_client] is set) and makes this file the new context. *)
 
+val observe_client : t -> client:int -> Agg_trace.File_id.t -> unit
+(** [observe_client t ~client file] is [observe t ~client file] with a
+    non-optional client. Passing [~client] to {!observe} boxes it in an
+    option at every call; this allocates nothing (under [Recency], once
+    the tables have grown to the namespace). {!observe} is a wrapper over
+    it. *)
+
 val observe_event : t -> Agg_trace.Event.t -> unit
 val observe_trace : t -> Agg_trace.Trace.t -> unit
 

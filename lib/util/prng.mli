@@ -31,6 +31,27 @@ val derive : t -> int -> t
 val bits64 : t -> int64
 (** [bits64 t] is the next raw 64-bit output. *)
 
+val bits62 : t -> int
+(** [bits62 t] is the next output's top 62 bits, a non-negative [int]. *)
+
+val seeded_bits62 : int -> int
+(** [seeded_bits62 seed = bits62 (create ~seed ())] for every [seed],
+    computed without building the generator: xoshiro256**'s first output
+    depends only on the second SplitMix64 word of the seeding, so it is a
+    closed-form function of [seed]. Allocates nothing — the single-draw
+    idiom for counter-based decisions ({!Agg_faults.Plan}). *)
+
+val derived_bits62 : t -> int -> int
+(** [derived_bits62 t index = bits62 (derive t index)] for every [index],
+    computed without building the derived generator (see
+    {!seeded_bits62}); [t] is not advanced. Allocates nothing. *)
+
+val bernoulli_of_bits62 : int -> p:float -> bool
+(** [bernoulli_of_bits62 b ~p] is the Bernoulli trial {!bernoulli} makes
+    when its generator's next {!bits62} output is [b]:
+    [bernoulli_of_bits62 (seeded_bits62 s) ~p = bernoulli (create ~seed:s ()) ~p].
+    [b] must be a {!bits62} output (non-negative). *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive.
     Uses rejection sampling, so the result is unbiased. *)

@@ -287,6 +287,101 @@ let test_reconcile_event_stream () =
   | Ok () -> Alcotest.fail "tampered stream reconciled"
   | Error _ -> ()
 
+(* --- dense-id replay ----------------------------------------------------- *)
+
+(* The users stream with its ids moved injectively into [2^17, 2^18):
+   past the trace length, so the replay interns them, and never equal to
+   a dense id, so a dense id leaking out is visible. *)
+let scattered_trace =
+  lazy
+    (let dense = Agg_workload.Generator.generate ~seed:5 ~events:20_000 Agg_workload.Profile.users in
+     let t = Agg_trace.Trace.create () in
+     Agg_trace.Trace.iter
+       (fun (e : Agg_trace.Event.t) ->
+         if e.file >= 1 lsl 17 then Alcotest.failf "users id %d past 2^17" e.file;
+         Agg_trace.Trace.append t
+           { e with file = (1 lsl 17) + ((e.file * 40_503) land ((1 lsl 17) - 1)) })
+       dense;
+     t)
+
+let scattered_config =
+  {
+    Cluster.default_config with
+    Cluster.nodes = 5;
+    replicas = 2;
+    metadata = Cluster.Replicated_with_group;
+    clients = Agg_workload.Profile.users.Agg_workload.Profile.clients;
+    faults = Plan.default;
+    churn = [ (7_000, Cluster.Leave 4); (14_000, Cluster.Join 4) ];
+  }
+
+let fingerprint (r : Cluster.result) =
+  Format.asprintf "%a | %a | slowed=%d | mean=%h p95=%h | nodes=%s | clients=%s" Cluster.pp_result r
+    Counters.pp r.Cluster.faults r.Cluster.slowed_fetches r.Cluster.mean_latency
+    r.Cluster.p95_latency
+    (String.concat "," (List.map (fun (n, c) -> Printf.sprintf "%d:%d" n c) r.Cluster.per_node_requests))
+    (Digest.to_hex
+       (Digest.string
+          (String.concat ","
+             (List.map (fun (_, rate) -> Printf.sprintf "%h" rate) r.Cluster.per_client_hit_rate))))
+
+(* Recorded from the raw-id replay before the cluster interned its ids:
+   interning must change nothing the ring or a user sees. *)
+let scattered_fingerprint =
+  "accesses=20000 client_hits=15841 (79.2%) cluster: 4159 requests, 915 hits (22.0%), 4803 store \
+   fetches, 1259 invalidations, 4150 routed, 520 failovers, 32 cross-shard, 2 rebalances (326 \
+   moved), mean=4.659ms p95=8.700ms | timeouts=529 (lost=501 outage=28) retries=520 degraded=9 \
+   slowed=0 crashes=0 | slowed=213 | mean=0x1.2a28e0c9da352p+2 p95=0x1.1666666666666p+3 | \
+   nodes=0:755,1:963,2:653,3:1075,4:713 | clients=8e7b085b4686169cfefe3fbe2769c1ca"
+
+let test_interned_ids_pinned () =
+  check_string "fingerprint" scattered_fingerprint
+    (fingerprint (Cluster.run scattered_config (Lazy.force scattered_trace)))
+
+(* With a memory sink and every request traced, each emitted file id,
+   span file and span name carries the raw id, and the run is the one
+   the fingerprint pins. *)
+let test_sink_sees_raw_ids () =
+  let trace = Lazy.force scattered_trace in
+  let sink = Sink.memory () in
+  let ctx = Agg_obs.Trace_ctx.create ~seed:3 () in
+  let r =
+    Cluster.run
+      { scattered_config with Cluster.scope = Some (Agg_obs.Scope.create ~sink ~trace_ctx:ctx ()) }
+      trace
+  in
+  check_string "fingerprint" scattered_fingerprint (fingerprint r);
+  let raw = Hashtbl.create 4096 in
+  Agg_trace.Trace.iter (fun (e : Agg_trace.Event.t) -> Hashtbl.replace raw e.file ()) trace;
+  let files = ref 0 in
+  List.iter
+    (fun (e : Agg_obs.Event.t) ->
+      match e with
+      | Agg_obs.Event.Fetch_timeout { file; _ }
+      | Agg_obs.Event.Fetch_degraded { file; _ }
+      | Agg_obs.Event.Node_routed { file; _ }
+      | Agg_obs.Event.Replica_failover { file; _ } ->
+          incr files;
+          if not (Hashtbl.mem raw file) then Alcotest.failf "event carries file %d, not a raw id" file
+      | _ -> ())
+    (Sink.events sink);
+  check_bool "events with files seen" true (!files > r.Cluster.server_requests);
+  List.iter
+    (fun (s : Agg_obs.Trace_ctx.span) ->
+      let file = (Agg_trace.Trace.get trace s.Agg_obs.Trace_ctx.request).file in
+      check_int "span file" file s.Agg_obs.Trace_ctx.file;
+      let name = s.Agg_obs.Trace_ctx.span_name in
+      let expect prefix =
+        if not (String.starts_with ~prefix name) then
+          Alcotest.failf "span %S does not name raw id %d" name file
+      in
+      match s.Agg_obs.Trace_ctx.span_cat with
+      | "request" -> expect (Printf.sprintf "request f%d" file)
+      | "fetch" -> expect (Printf.sprintf "fetch f%d@" file)
+      | "degraded" -> expect (Printf.sprintf "degraded f%d@" file)
+      | _ -> ())
+    (Agg_obs.Trace_ctx.spans ctx)
+
 (* --- sweep: jobs-independence --------------------------------------------- *)
 
 let tiny = { Agg_sim.Experiment.events = 3000; seed = 7; warmup = 0; jobs = 1 }
@@ -407,6 +502,11 @@ let () =
           Alcotest.test_case "node loads reconcile" `Quick test_series_node_loads_reconcile;
           Alcotest.test_case "telemetry off is byte-identical" `Quick
             test_cluster_telemetry_off_identity;
+        ] );
+      ( "dense ids",
+        [
+          Alcotest.test_case "interned ids pinned" `Quick test_interned_ids_pinned;
+          Alcotest.test_case "sink sees raw ids" `Quick test_sink_sees_raw_ids;
         ] );
       ( "sweep",
         [

@@ -451,6 +451,45 @@ let path_relabel_property =
       | None -> true
       | Some detail -> QCheck.Test.fail_reportf "%s: %s" name detail)
 
+(* --- qcheck: the cluster miss path's primitives ------------------------- *)
+
+(* QCheck's [int] covers both signs; the edges are forced in as well *)
+let any_int = QCheck.(oneof [ int; oneofl [ 0; -1; min_int; max_int; min_int + 1; max_int - 1 ] ])
+
+let single_draw_property =
+  QCheck.Test.make ~name:"seeded/derived_bits62 = bits62 of the generator they skip" ~count:500
+    QCheck.(pair any_int any_int)
+    (fun (seed, index) ->
+      match Diff_engine.single_draw_diff ~seed ~index with
+      | None -> true
+      | Some detail -> QCheck.Test.fail_report detail)
+
+let bernoulli_bits_property =
+  QCheck.Test.make ~name:"bernoulli_of_bits62 = bernoulli on a fresh generator" ~count:500 any_int
+    (fun seed ->
+      match Diff_engine.bernoulli_bits_diff ~seed with
+      | None -> true
+      | Some detail -> QCheck.Test.fail_report detail)
+
+let fill_group_property =
+  QCheck.Test.make ~name:"Ring.fill_group = Ring.group after random joins and leaves" ~count:200
+    QCheck.(triple int (int_range 1 10) any_int)
+    (fun (seed, replicas, file) ->
+      let ring = Diff_engine.gen_ring (Prng.create ~seed ()) in
+      let replicas = 1 + (replicas mod (Agg_cluster.Ring.node_count ring + 2)) in
+      match Diff_engine.fill_group_diff ring ~replicas file with
+      | None -> true
+      | Some detail -> QCheck.Test.fail_report detail)
+
+let placement_property =
+  QCheck.Test.make ~name:"Cluster placement table = Ring.group around every churn op" ~count:60
+    QCheck.int
+    (fun seed ->
+      let config, trace = Diff_engine.gen_placement_case (Prng.create ~seed ()) in
+      match Diff_engine.placement_diff config trace with
+      | _, None -> true
+      | _, Some detail -> QCheck.Test.fail_report detail)
+
 (* --- end-to-end calibrated-trace differential (small budget) ---------- *)
 
 let test_trace_checks_small () =
@@ -504,6 +543,10 @@ let qcheck_tests =
       codec_chunked_property;
       codec_writer_property;
       path_relabel_property;
+      single_draw_property;
+      bernoulli_bits_property;
+      fill_group_property;
+      placement_property;
     ]
 
 let () =

@@ -415,6 +415,46 @@ let test_exec_sparse_id_path () =
       if allocated > 1_048_576.0 then
         Alcotest.failf "sparse-id path scenario allocated %.0f bytes, ceiling 1 MiB" allocated)
 
+(* The same three-line trace through a replicated cluster: the cluster
+   replay once sized its caches, trackers and tables by the raw id and
+   died with Out_of_memory the same way. *)
+let test_exec_sparse_id_cluster () =
+  let trc = Filename.temp_file "sparse" ".trc" in
+  Out_channel.with_open_text trc (fun oc ->
+      output_string oc "#aggtrace v1\n0 o 0 400000000\n1 o 0 7\n2 o 0 400000000\n");
+  Fun.protect
+    ~finally:(fun () -> Sys.remove trc)
+    (fun () ->
+      let s =
+        {
+          base with
+          Scenario.workload = Scenario.Trace_file { file = trc };
+          topology =
+            Scenario.Cluster
+              {
+                nodes = 3;
+                replicas = 2;
+                placement = Agg_cluster.Cluster.Replicated_with_group;
+                ring_seed = 23;
+                clients = 2;
+                client_capacity = 150;
+                node_capacity = 300;
+                churn = [];
+              };
+          invariants = [ Scenario.Conservation ];
+        }
+      in
+      Gc.full_major ();
+      let before = Gc.allocated_bytes () in
+      let o = run_ok s in
+      let allocated = Gc.allocated_bytes () -. before in
+      check_bool "all invariants pass" true o.Exec.pass;
+      check_int "three accesses" 3 o.Exec.events;
+      (* measured at 3.5 MB, most of it the fixed-size tracker tables
+         of every node and client in the two cells *)
+      if allocated > 4_194_304.0 then
+        Alcotest.failf "sparse-id cluster scenario allocated %.0f bytes, ceiling 4 MiB" allocated)
+
 let test_exec_unknown_profile () =
   match Exec.run { base with Scenario.workload = Scenario.Profile { profile = "nope"; events = 100; seed = 1 } } with
   | Ok _ -> Alcotest.fail "expected an unknown-profile error"
@@ -674,6 +714,7 @@ let () =
           Alcotest.test_case "trace file errors" `Quick test_exec_trace_file_errors;
           Alcotest.test_case "unknown profile" `Quick test_exec_unknown_profile;
           Alcotest.test_case "sparse-id path" `Quick test_exec_sparse_id_path;
+          Alcotest.test_case "sparse-id cluster" `Quick test_exec_sparse_id_cluster;
           Alcotest.test_case "slo pass and fail" `Quick test_exec_slo_pass_and_fail;
           Alcotest.test_case "slo after skips warmup" `Quick test_exec_slo_after_skips_warmup;
         ] );

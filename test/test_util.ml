@@ -17,6 +17,20 @@ let test_prng_determinism () =
     Alcotest.(check int64) "same stream" (Prng.bits64 a) (Prng.bits64 b)
   done
 
+(* The fault plans and the ring draw once per decision through these;
+   they are only worth having if no generator is built. *)
+let test_prng_single_draws_allocate_nothing () =
+  let parent = Prng.create ~seed:3 () in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to 100_000 do
+    acc := !acc lxor Prng.seeded_bits62 i lxor Prng.derived_bits62 parent i;
+    if Prng.bernoulli_of_bits62 !acc ~p:0.1 then incr acc
+  done;
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity !acc);
+  if words > 0.0 then Alcotest.failf "single draws allocated %.0f minor words" words
+
 let test_prng_seed_sensitivity () =
   let a = Prng.create ~seed:1 () in
   let b = Prng.create ~seed:2 () in
@@ -750,6 +764,8 @@ let () =
           Alcotest.test_case "copy" `Quick test_prng_copy;
           Alcotest.test_case "split" `Quick test_prng_split;
           Alcotest.test_case "derive" `Quick test_prng_derive;
+          Alcotest.test_case "single draws allocate nothing" `Quick
+            test_prng_single_draws_allocate_nothing;
           Alcotest.test_case "int bounds" `Quick test_prng_int_bounds;
           Alcotest.test_case "int invalid" `Quick test_prng_int_invalid;
           Alcotest.test_case "int_in_range" `Quick test_prng_int_in_range;
